@@ -55,6 +55,10 @@ class BpdnProblem:
         else:
             A = A.astype(np.float64, copy=False)
             y = y.astype(np.float64, copy=False)
+        if not _all_finite(A):
+            raise ValueError("A must be finite")
+        if not _all_finite(y):
+            raise ValueError("y must be finite")
         self.A = A
         self.y = y
 
@@ -68,6 +72,13 @@ class BpdnProblem:
         if self.feas_tol is not None:
             return self.feas_tol
         return 1e-8 * (1.0 + float(np.linalg.norm(self.y)))
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    # min and max propagate NaN and, unlike np.isfinite, need no x-sized temporary
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    return all(np.isfinite(part.min(initial=0.0)) and np.isfinite(part.max(initial=0.0))
+               for part in parts)
 
 
 @dataclass(frozen=True)
@@ -119,6 +130,12 @@ def _dual_objective(w: np.ndarray, AH_w: np.ndarray, y: np.ndarray, rho: float) 
     """Lagrange dual value of the rescaled vector w / max(1, |A^H w|_inf)."""
     scale = max(1.0, float(np.abs(AH_w).max())) if AH_w.size else 1.0
     return (-float(np.real(np.vdot(w, y))) - rho * float(np.linalg.norm(w))) / scale
+
+
+def _stalled(x: np.ndarray, x_prev: np.ndarray) -> bool:
+    """Whether x moved by at most 1e-13 relative to its size since x_prev."""
+    return (float(np.abs(x - x_prev).max(initial=0.0))
+            <= 1e-13 * max(1.0, float(np.abs(x).max(initial=0.0))))
 
 
 def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
@@ -188,16 +205,8 @@ def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
             feasible = residual <= rho + feas_tol
             objective = float(np.abs(z).sum())
             gap = objective - _dual_objective(w, AH_w, y, rho)
-            if feasible and gap <= obj_tol * max(1.0, objective):
-                return BpdnSolution(z * scale, residual * scale,
-                                    objective * scale, it, True, gap * scale)
-            stalled = (
-                float(np.abs(z - z_prev_check).max(initial=0.0))
-                <= 1e-13 * max(1.0, float(np.abs(z).max(initial=0.0)))
-                and float(np.abs(w - w_prev_check).max(initial=0.0))
-                <= 1e-13 * max(1.0, float(np.abs(w).max(initial=0.0)))
-            )
-            if feasible and stalled:
+            if feasible and (gap <= obj_tol * max(1.0, objective)
+                             or (_stalled(z, z_prev_check) and _stalled(w, w_prev_check))):
                 return BpdnSolution(z * scale, residual * scale,
                                     objective * scale, it, True, gap * scale)
             z_prev_check = z.copy()

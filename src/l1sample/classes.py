@@ -229,19 +229,25 @@ class CoefficientExpansion:
         return CoefficientExpansion(system, coeffs)
 
 
-def class_norm(klass: FunctionClass, f: CoefficientExpansion) -> float:
-    """Weighted l1 / l2 / l^p (quasi-)norm of the coefficients."""
-    if not f.coefficients:
-        return 0.0
-    idx = f.support_array()
-    w = _weights(klass, idx)
-    a = w * np.abs(f.values_array())
+def _sequence_norm(klass: FunctionClass, a: np.ndarray) -> float:
+    """The class's l1 / l2 / l^p (quasi-)norm of already weighted moduli."""
     if klass.kind == WIENER_MIXED:
         return float(a.sum())
     if klass.kind == SOBOLEV_MIXED:
         return float(np.sqrt((a**2).sum()))
     p = klass.p
     return float((a**p).sum() ** (1.0 / p))
+
+
+def _weighted_moduli(klass: FunctionClass, f: CoefficientExpansion) -> np.ndarray:
+    if not f.coefficients:
+        return np.zeros(0)
+    return _weights(klass, f.support_array()) * np.abs(f.values_array())
+
+
+def class_norm(klass: FunctionClass, f: CoefficientExpansion) -> float:
+    """Weighted l1 / l2 / l^p (quasi-)norm of the coefficients."""
+    return _sequence_norm(klass, _weighted_moduli(klass, f))
 
 
 def random_unit_function(

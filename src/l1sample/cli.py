@@ -26,13 +26,13 @@ from typing import Optional
 
 import numpy as np
 
-from .classes import FunctionClass, evaluate_function, random_unit_function
+from .classes import FunctionClass
 from .harness import (
     ExperimentConfig,
-    box_parameter,
-    default_theorem,
+    _rate_trial,
+    _recovery_config,
+    _trial_seeds,
     emit_report,
-    regime_system,
     run_phase_experiment,
     run_rate_experiment,
 )
@@ -43,14 +43,7 @@ from .oracles import (
     sigma_s_l1,
     stechkin_bound,
 )
-from .recovery import (
-    FOURIER_GRID,
-    RecoveryConfig,
-    recover,
-    sample_count,
-    search_set,
-)
-from .systems import SamplePlan, draw_points, fourier_system
+from .systems import fourier_system
 
 ENV_OUTPUT_DIR = "L1SAMPLE_OUTPUT_DIR"
 
@@ -210,33 +203,20 @@ def _class_from(opts: dict) -> FunctionClass:
 
 
 def _cmd_recover(opts: dict) -> int:
-    klass = _class_from(opts)
-    theorem = opts["theorem"] or default_theorem(klass)
-    system = regime_system(theorem, klass)
-    n = opts["n"]
-    M = opts["M"] if opts["M"] is not None else box_parameter(klass, n)
-    config = RecoveryConfig(
-        system=system,
-        theorem=theorem,
-        n=n,
-        M=M,
-        klass=klass,
+    config = ExperimentConfig(
+        klass=_class_from(opts),
+        n_values=(opts["n"],),
+        trials_per_n=1,
+        theorem=opts["theorem"],
         c_sample=opts["c_sample"],
         c_eta=opts["c_eta"],
         eta_override=opts["eta"],
+        seed_base=opts["seed"],
         step_ratio=opts["step_ratio"],
     )
-    J = search_set(config)
-    seeds = np.random.SeedSequence((opts["seed"], 0, 0)).generate_state(2)
-    sparsity = opts["sparsity"] if opts["sparsity"] is not None else min(n, len(J))
-    f = random_unit_function(klass, J, sparsity=sparsity, seed=int(seeds[0]))
-    m = sample_count(config)
-    mode = "grid" if theorem == FOURIER_GRID else "continuous"
-    grid_size = J.half_width if mode == "grid" else None
-    plan = SamplePlan(seed=int(seeds[1]), mode=mode, grid_size=grid_size)
-    points = draw_points(system, m, plan)
-    samples = evaluate_function(f, points)
-    result = recover(samples, config, points, f_true=f)
+    # trial 0 of row 0 of the matching rate sweep
+    rc = _recovery_config(config, opts["n"], M=opts["M"])
+    result = _rate_trial(config, rc, _trial_seeds(opts["seed"], 0, 0), opts["sparsity"])
     _write_text(json.dumps(result.to_json(), indent=2) + "\n", opts["output"])
     if opts["strict"] and not result.certified:
         return 2

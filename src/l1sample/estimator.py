@@ -14,7 +14,7 @@ from .classes import (
     FunctionClass,
     evaluate_function,
 )
-from .harness import box_parameter, default_theorem
+from .harness import box_parameter
 from .recovery import (
     CHEBYSHEV_REGIME,
     FOURIER3,

@@ -10,9 +10,10 @@ of log n).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .recovery import (
     FOURIER_GRID,
     LEGENDRE_REGIME,
     RecoveryConfig,
+    RecoveryResult,
     recover,
     sample_count,
     search_set,
@@ -289,9 +291,88 @@ class ExperimentConfig:
             raise ValueError("sparsity mode must be 'n', 'head', or 'full'")
 
 
-def _trial_seeds(seed_base: int, i_n: int, t: int) -> Tuple[int, int]:
-    s = np.random.SeedSequence((seed_base, i_n, t)).generate_state(2)
+def _trial_seeds(seed_base: int, row: int, t: int) -> Tuple[int, int]:
+    s = np.random.SeedSequence((seed_base, row, t)).generate_state(2)
     return int(s[0]), int(s[1])
+
+
+def _run_rows(
+    seed_base: int, trials: int, rows: Sequence[Tuple[int, int, Callable]],
+    threshold: Optional[float] = None,
+) -> Tuple[Tuple[RateRow, ...], int]:
+    """Run each row's seeded trials; return the row summaries and the uncertified count.
+
+    A row is (n, m, trial), and ``trial`` maps the seed pair of (seed_base,
+    row index, trial index) to the trial's error, or None when its solve
+    did not certify.  Quantiles are taken over certified errors; a certified
+    trial succeeds when its error is at most ``threshold`` (always, without
+    one).
+    """
+    summaries = []
+    uncertified = 0
+    for row, (n, m, trial) in enumerate(rows):
+        errors = []
+        for t in range(trials):
+            error = trial(_trial_seeds(seed_base, row, t))
+            if error is not None:
+                errors.append(error)
+        uncertified += trials - len(errors)
+        successes = sum(1 for e in errors if threshold is None or e <= threshold)
+        if errors:
+            median, q25, q75 = np.percentile(errors, [50, 25, 75])
+        else:
+            median = q25 = q75 = float("nan")
+        summaries.append(RateRow(n, m, float(median), float(q25), float(q75),
+                                 successes / trials))
+    return tuple(summaries), uncertified
+
+
+def _recovery_config(config: ExperimentConfig, n: int, M: Optional[int] = None) -> RecoveryConfig:
+    """A sweep's recovery set-up at sparsity n; M defaults to the class's rule."""
+    klass = config.klass
+    theorem = config.theorem or default_theorem(klass)
+    return RecoveryConfig(
+        system=regime_system(theorem, klass),
+        theorem=theorem,
+        n=n,
+        M=box_parameter(klass, n) if M is None else M,
+        klass=klass,
+        c_sample=config.c_sample,
+        c_eta=config.c_eta,
+        eta_override=config.eta_override,
+        feas_tol=config.feas_tol,
+        obj_tol=config.obj_tol,
+        max_iters=config.max_iters,
+        step_ratio=config.step_ratio,
+    )
+
+
+def _rate_trial(config: ExperimentConfig, rc: RecoveryConfig, seeds: Tuple[int, int],
+                sparsity: Optional[int] = None) -> RecoveryResult:
+    """Recover a random unit-ball function from the regime's random points.
+
+    The function comes from the first seed, the points (lattice points for
+    ``fourier_grid``) from the second.  ``sparsity`` overrides the one the
+    sweep's sparsity mode gives.
+    """
+    seed_f, seed_pts = seeds
+    J = search_set(rc)
+    if sparsity is None and config.sparsity != "full":
+        sparsity = min(rc.n, len(J))
+    placement = "head" if config.sparsity == "head" else "random"
+    f = random_unit_function(config.klass, J, sparsity=sparsity, seed=seed_f,
+                             placement=placement)
+    grid = rc.theorem == FOURIER_GRID
+    plan = SamplePlan(seed=seed_pts, mode="grid" if grid else "continuous",
+                      grid_size=J.half_width if grid else None)
+    points = draw_points(rc.system, sample_count(rc), plan)
+    return recover(evaluate_function(f, points), rc, points, f_true=f)
+
+
+def _rate_error(config: ExperimentConfig, rc: RecoveryConfig,
+                seeds: Tuple[int, int]) -> Optional[float]:
+    result = _rate_trial(config, rc, seeds)
+    return result.l2_err if result.certified else None
 
 
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:
@@ -303,60 +384,15 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     are reproducible bit for bit.  Quantiles are taken over certified
     solves only; ``success_fraction`` is the certified fraction.
     """
-    klass = config.klass
-    theorem = config.theorem or default_theorem(klass)
-    system = regime_system(theorem, klass)
-    rows = []
-    uncertified = 0
-    for i_n, n in enumerate(config.n_values):
-        M = box_parameter(klass, n)
-        rc = RecoveryConfig(
-            system=system,
-            theorem=theorem,
-            n=n,
-            M=M,
-            klass=klass,
-            c_sample=config.c_sample,
-            c_eta=config.c_eta,
-            eta_override=config.eta_override,
-            feas_tol=config.feas_tol,
-            obj_tol=config.obj_tol,
-            max_iters=config.max_iters,
-            step_ratio=config.step_ratio,
-        )
-        m = sample_count(rc)
-        J = search_set(rc)
-        sparsity = None if config.sparsity == "full" else min(n, len(J))
-        placement = "head" if config.sparsity == "head" else "random"
-        errors = []
-        certified = 0
-        for t in range(config.trials_per_n):
-            seed_f, seed_pts = _trial_seeds(config.seed_base, i_n, t)
-            f = random_unit_function(klass, J, sparsity=sparsity, seed=seed_f,
-                                     placement=placement)
-            mode = "grid" if theorem == FOURIER_GRID else "continuous"
-            grid_size = J.half_width if mode == "grid" else None
-            plan = SamplePlan(seed=seed_pts, mode=mode, grid_size=grid_size)
-            points = draw_points(system, m, plan)
-            samples = evaluate_function(f, points)
-            result = recover(samples, rc, points, f_true=f)
-            if result.certified:
-                certified += 1
-                errors.append(result.l2_err)
-            else:
-                uncertified += 1
-        if errors:
-            median, q25, q75 = np.percentile(errors, [50, 25, 75])
-        else:
-            median = q25 = q75 = float("nan")
-        rows.append(RateRow(n, m, float(median), float(q25), float(q75),
-                            certified / config.trials_per_n))
+    rcs = [_recovery_config(config, n) for n in config.n_values]
+    rows, uncertified = _run_rows(config.seed_base, config.trials_per_n, [
+        (rc.n, sample_count(rc), functools.partial(_rate_error, config, rc)) for rc in rcs])
     slope = fit_slope([row.n for row in rows], [row.median_error for row in rows])
     return RateReport(
-        rows=tuple(rows),
+        rows=rows,
         fitted_slope=slope,
-        predicted_n=predicted_rate(klass, "n"),
-        predicted_m=predicted_rate(klass, "m"),
+        predicted_n=predicted_rate(config.klass, "n"),
+        predicted_m=predicted_rate(config.klass, "m"),
         uncertified_trials=uncertified,
     )
 
@@ -390,39 +426,25 @@ def run_phase_experiment(
         raise ValueError("need 1 <= s <= N")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if any(m < 1 for m in m_grid):
+        raise ValueError("sample counts must be >= 1")
     box = make_index_set(BOX, d=d, M=D) if D >= 1 else IndexSet(BOX, d, 0)
-    rows = []
-    uncertified = 0
-    for i_m, m in enumerate(m_grid):
-        if m < 1:
-            raise ValueError("sample counts must be >= 1")
-        errors = []
-        successes = 0
-        for t in range(trials):
-            seeds = np.random.SeedSequence((seed, i_m, t)).generate_state(2)
-            rng = np.random.default_rng(int(seeds[0]))
-            support = rng.choice(N, size=s, replace=False)
-            coeffs = np.zeros(N, dtype=np.complex128)
-            coeffs[support] = np.exp(2j * np.pi * rng.random(s))
-            plan = SamplePlan(seed=int(seeds[1]), mode="grid", grid_size=D)
-            points = draw_points(system, m, plan)
-            A = basis_matrix(system, box, points)
-            y = A @ coeffs
-            solution = solve_bpdn(BpdnProblem(A, y, eta=0.0, step_ratio=step_ratio))
-            if solution.certified:
-                rel = float(np.linalg.norm(solution.z - coeffs) / np.linalg.norm(coeffs))
-                errors.append(rel)
-                if rel <= PHASE_SUCCESS_THRESHOLD:
-                    successes += 1
-            else:
-                uncertified += 1
-        if errors:
-            median, q25, q75 = np.percentile(errors, [50, 25, 75])
-        else:
-            median = q25 = q75 = float("nan")
-        rows.append(RateRow(s, int(m), float(median), float(q25), float(q75),
-                            successes / trials))
-    return RateReport(rows=tuple(rows), uncertified_trials=uncertified)
+
+    def trial(m, seeds):
+        rng = np.random.default_rng(seeds[0])
+        support = rng.choice(N, size=s, replace=False)
+        coeffs = np.zeros(N, dtype=np.complex128)
+        coeffs[support] = np.exp(2j * np.pi * rng.random(s))
+        plan = SamplePlan(seed=seeds[1], mode="grid", grid_size=D)
+        A = basis_matrix(system, box, draw_points(system, m, plan))
+        solution = solve_bpdn(BpdnProblem(A, A @ coeffs, eta=0.0, step_ratio=step_ratio))
+        if not solution.certified:
+            return None
+        return float(np.linalg.norm(solution.z - coeffs) / np.linalg.norm(coeffs))
+
+    rows, uncertified = _run_rows(seed, trials, [
+        (s, int(m), functools.partial(trial, m)) for m in m_grid], PHASE_SUCCESS_THRESHOLD)
+    return RateReport(rows=rows, uncertified_trials=uncertified)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from .classes import (
     WIENER_MIXED,
     CoefficientExpansion,
     FunctionClass,
-    _weights,
+    _sequence_norm,
+    _weighted_moduli,
 )
 
 POWER = "power"
@@ -59,12 +60,6 @@ def best_n_term_l2(x, n: int) -> float:
     return float(np.sqrt((a[order[n:]] ** 2).sum()))
 
 
-def _weighted_moduli(klass: FunctionClass, f: CoefficientExpansion) -> np.ndarray:
-    if not f.coefficients:
-        return np.zeros(0)
-    return _weights(klass, f.support_array()) * np.abs(f.values_array())
-
-
 def _drop_smallest(klass: FunctionClass, f: CoefficientExpansion, n: int):
     """Split f into its n largest terms (by weighted modulus) and the rest."""
     a = _weighted_moduli(klass, f)
@@ -88,17 +83,10 @@ def best_n_term_weighted(klass: FunctionClass, f: CoefficientExpansion, n: int) 
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if klass.kind == WIENER_MIXED:
-        q = 1.0
-    elif klass.kind == SOBOLEV_MIXED:
-        q = 2.0
-    else:
+    if klass.kind not in (WIENER_MIXED, SOBOLEV_MIXED):
         raise ValueError("weighted best-term errors are defined for the "
                          "weighted-l1 and weighted-l2 classes")
-    _, _, dropped = _drop_smallest(klass, f, n)
-    if q == 1.0:
-        return float(dropped.sum())
-    return float(np.sqrt((dropped**2).sum()))
+    return _class_best_term(klass, f, n)[0]
 
 
 def stechkin_bound(p: float, n: int, quasi_norm: float = 1.0) -> float:
@@ -208,15 +196,8 @@ class ProductBoundResult:
 
 def _class_best_term(klass: FunctionClass, f: CoefficientExpansion, n: int):
     """Best n-term error in the class (quasi-)norm plus the residual."""
-    kept, rest, dropped = _drop_smallest(klass, f, n)
-    if klass.kind == WIENER_MIXED:
-        err = float(dropped.sum())
-    elif klass.kind == SOBOLEV_MIXED:
-        err = float(np.sqrt((dropped**2).sum()))
-    else:
-        p = klass.p
-        err = float((dropped**p).sum() ** (1.0 / p))
-    return err, rest
+    _, rest, dropped = _drop_smallest(klass, f, n)
+    return _sequence_norm(klass, dropped), rest
 
 
 def product_bound_check(

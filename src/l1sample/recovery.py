@@ -28,6 +28,7 @@ from .bpdn import BpdnProblem, BpdnSolution, solve_bpdn
 from .classes import (
     CoefficientExpansion,
     FunctionClass,
+    _guarded_log,
     analytic_best_term_bound,
     analytic_tail_bound,
 )
@@ -71,10 +72,6 @@ _ETA_TAU = {
     CHEBYSHEV_REGIME: 2.0,
     LEGENDRE_REGIME: 1.0,
 }
-
-
-def _guarded_log(x: float) -> float:
-    return float(np.log(max(x, 2.0)))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ Four families are supported:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebgauss

@@ -55,6 +55,18 @@ def test_problem_validation():
         BpdnProblem(A, y, 0.1, step_ratio=np.inf)
 
 
+def test_problem_rejects_nan_in_y():
+    y = np.array([1.0, np.nan])
+    with pytest.raises(ValueError, match="y must be finite"):
+        BpdnProblem(np.eye(2), y, 0.0)
+
+
+def test_problem_rejects_inf_in_A():
+    A = np.array([[1.0, 0.0], [0.0, np.inf]], dtype=np.complex128)
+    with pytest.raises(ValueError, match="A must be finite"):
+        BpdnProblem(A, np.ones(2), 0.0)
+
+
 def test_radius_and_default_feasibility_tolerance():
     A = np.eye(4)
     y = np.array([3.0, 0.0, 0.0, 0.0])

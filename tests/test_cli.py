@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from l1sample import cli
-from l1sample.harness import RateReport
+from l1sample.classes import wiener_mixed
+from l1sample.harness import ExperimentConfig, RateReport, run_rate_experiment
 from l1sample.oracles import pietsch_diag_an, power_decay, sigma_s_l1, stechkin_bound
 
 
@@ -87,6 +88,26 @@ def test_recover_is_deterministic_for_a_seed(capsys):
     code2, out2, _ = run_cli(TINY_RECOVER, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("theorem", ["fourier3", "fourier_grid"])
+def test_recover_is_trial_zero_of_the_rate_sweep(theorem, capsys):
+    seed, n = 7, 4
+    code, out, _err = run_cli([
+        "recover", "--class-kind", "wiener_mixed", "--r", "1", "--n", str(n),
+        "--theorem", theorem, "--seed", str(seed), "--step-ratio", "0.0625",
+    ], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    report = run_rate_experiment(ExperimentConfig(
+        wiener_mixed(1.0, 1), (n,), trials_per_n=1, theorem=theorem,
+        seed_base=seed, step_ratio=0.0625,
+    ))
+    (row,) = report.rows
+    assert obj["certified"] is (row.success_fraction == 1.0)
+    assert obj["certified"]
+    assert obj["l2_error"] == row.median_error
+    assert obj["samples_used"] == row.m
 
 
 def test_recover_output_file_respects_env_dir(tmp_path, monkeypatch, capsys):

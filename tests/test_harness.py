@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from l1sample import harness
+from l1sample.bpdn import solve_bpdn
 from l1sample.classes import poly_wiener, sobolev_mixed, wiener_iso, wiener_mixed
 from l1sample.harness import (
     CSV_HEADER,
@@ -261,6 +263,19 @@ def test_phase_experiment_validation():
         run_phase_experiment(fourier_system(1), 9, 2, (5,), 0)
     with pytest.raises(ValueError):
         run_phase_experiment(fourier_system(1), 9, 2, (0,), 2)
+
+
+def test_phase_experiment_checks_the_whole_grid_before_solving(monkeypatch):
+    calls = []
+
+    def counting_solve(problem):
+        calls.append(problem)
+        return solve_bpdn(problem)
+
+    monkeypatch.setattr(harness, "solve_bpdn", counting_solve)
+    with pytest.raises(ValueError, match="sample counts"):
+        run_phase_experiment(fourier_system(1), 257, 5, (160, 0), 50)
+    assert calls == []
 
 
 def test_phase_experiment_oversampled_grid_succeeds():

@@ -1,0 +1,98 @@
+"""Print the outputs of a fixed set of seeded experiments, for comparing commits.
+
+Runs small rate sweeps, phase tables and ``l1sample recover`` calls through
+the public API and the CLI entry point, and prints every report in full.
+Run it on two checkouts and compare the files byte for byte:
+
+    PYTHONPATH=src python tools/dump_outputs.py > before.txt
+    (other checkout) PYTHONPATH=src python tools/dump_outputs.py > after.txt
+    cmp before.txt after.txt
+
+A refactor that claims unchanged results should leave the files identical.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+
+from l1sample import (
+    ExperimentConfig,
+    emit_report,
+    fourier_system,
+    poly_wiener,
+    run_phase_experiment,
+    run_rate_experiment,
+    wiener_iso,
+    wiener_mixed,
+)
+from l1sample import cli
+
+STEP = 0.0625
+
+RATE_CASES = {
+    "wiener_mixed fourier3": ExperimentConfig(
+        wiener_mixed(1.0, 1), (2, 4, 8), trials_per_n=3, seed_base=5,
+        step_ratio=STEP),
+    "wiener_mixed fourier_grid": ExperimentConfig(
+        wiener_mixed(1.0, 1), (2, 4, 8), trials_per_n=3, theorem="fourier_grid",
+        seed_base=6, step_ratio=STEP),
+    "chebyshev head feas_tol=1e-6": ExperimentConfig(
+        poly_wiener(-0.5, 1.0, 0.5), (2, 4, 8), trials_per_n=2, sparsity="head",
+        feas_tol=1e-6, seed_base=7, step_ratio=STEP),
+    "legendre full": ExperimentConfig(
+        poly_wiener(0.0, 1.0, 1.0), (2, 4), trials_per_n=2, sparsity="full",
+        seed_base=8, step_ratio=STEP),
+    "wiener_iso d=2": ExperimentConfig(
+        wiener_iso(1.0, 1.0, 2), (2, 4), trials_per_n=2, seed_base=9,
+        step_ratio=STEP),
+    "wiener_mixed eta=0 max_iters=200": ExperimentConfig(
+        wiener_mixed(1.0, 1), (4, 8, 16), trials_per_n=4, seed_base=10,
+        eta_override=0.0, max_iters=200, step_ratio=STEP),
+}
+
+PHASE_CASES = {
+    "phase d=1 N=257": dict(system=fourier_system(1), N=257, s=5,
+                            m_grid=(8, 16, 24, 40), trials=6, seed=3),
+    "phase d=2 N=9": dict(system=fourier_system(2), N=9, s=2,
+                          m_grid=(3, 6, 9), trials=5, seed=4),
+}
+
+RECOVER_BASE = ["recover", "--class-kind", "wiener_mixed", "--r", "1", "--n", "4",
+                "--step-ratio", str(STEP)]
+RECOVER_CASES = {
+    f"recover seed={seed}{' ' + ' '.join(extra) if extra else ''}":
+        RECOVER_BASE + ["--seed", str(seed)] + extra
+    for seed in (0, 1, 2)
+    for extra in ([], ["--sparsity", "2"])
+}
+RECOVER_CASES["recover fourier_grid M=6"] = RECOVER_BASE + [
+    "--theorem", "fourier_grid", "--M", "6", "--seed", "11"]
+
+
+def _section(title: str, text: str) -> None:
+    sys.stdout.write(f"== {title}\n{text}")
+
+
+def main() -> int:
+    for title, config in RATE_CASES.items():
+        report = run_rate_experiment(config)
+        _section(title, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+        csv = io.StringIO()
+        emit_report(report, "csv", csv)
+        _section(title + " csv", csv.getvalue())
+    for title, kwargs in PHASE_CASES.items():
+        report = run_phase_experiment(step_ratio=STEP, **kwargs)
+        _section(title, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    for title, argv in RECOVER_CASES.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        _section(f"{title} (exit {code})", out.getvalue())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
