@@ -106,6 +106,20 @@ def soft_threshold_complex(v: np.ndarray, t: float) -> np.ndarray:
     return v * scale
 
 
+def _forward(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x over the support of x: the same sum with its zero terms left out."""
+    s = x.nonzero()[0]
+    return A.take(s, axis=1) @ x[s]
+
+
+def _adjoint(A: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The exact dense product A^H w, reading A in place (no transposed copy)."""
+    if A.dtype.kind != "c":
+        return w @ A
+    g = w.conj() @ A
+    return np.conjugate(g, out=g)
+
+
 def _operator_norm(A: np.ndarray, iters: int = 60) -> float:
     """Power-method estimate of the spectral norm, deterministic start."""
     rng = np.random.default_rng(12345)
@@ -116,9 +130,8 @@ def _operator_norm(A: np.ndarray, iters: int = 60) -> float:
     if nv == 0:
         return 0.0
     v = v / nv
-    AH = A.conj().T
     for _ in range(iters):
-        w = AH @ (A @ v)
+        w = _adjoint(A, A @ v)
         nw = np.linalg.norm(w)
         if nw == 0:
             return 0.0
@@ -153,6 +166,12 @@ def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
     is below ``obj_tol * max(1, objective)`` or the iteration has reached a
     numerically stationary point.  Runs that exhaust ``max_iters`` without a
     certificate return ``certified=False`` rather than raising.
+
+    A is read in place and never copied.  The iterates are sparse, so the
+    forward products (the step and every residual, including the returned
+    one) multiply only the columns on the support of z; this is the dense
+    sum without its zero terms.  The adjoint product, and with it the dual
+    value in the gap, is always the exact dense A^H w.
     """
     A, y, rho = problem.A, problem.y, problem.radius
     m, N = A.shape
@@ -182,7 +201,7 @@ def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
     tau = step * problem.step_ratio
     sigma = step / problem.step_ratio
 
-    AH = np.ascontiguousarray(A.conj().T)
+    sigma_y = sigma * y
     z = np.zeros(N, dtype=A.dtype)
     zbar = z.copy()
     w = np.zeros(m, dtype=A.dtype)
@@ -191,17 +210,17 @@ def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
     gap = np.inf
 
     for it in range(1, problem.max_iters + 1):
-        v = w + sigma * (A @ zbar) - sigma * y
+        v = w + sigma * _forward(A, zbar) - sigma_y
         nv = float(np.linalg.norm(v))
         shrink = max(0.0, 1.0 - sigma * rho / nv) if nv > 0 else 0.0
         w = v * shrink
-        AH_w = AH @ w
+        AH_w = _adjoint(A, w)
         z_new = soft_threshold_complex(z - tau * AH_w, tau)
         zbar = 2.0 * z_new - z
         z = z_new
 
         if it % 25 == 0 or it == problem.max_iters:
-            residual = float(np.linalg.norm(A @ z - y))
+            residual = float(np.linalg.norm(_forward(A, z) - y))
             feasible = residual <= rho + feas_tol
             objective = float(np.abs(z).sum())
             gap = objective - _dual_objective(w, AH_w, y, rho)
@@ -212,7 +231,7 @@ def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
             z_prev_check = z.copy()
             w_prev_check = w.copy()
 
-    residual = float(np.linalg.norm(A @ z - y))
+    residual = float(np.linalg.norm(_forward(A, z) - y))
     objective = float(np.abs(z).sum())
     return BpdnSolution(z * scale, residual * scale, objective * scale,
                         problem.max_iters, False, float(gap) * scale)

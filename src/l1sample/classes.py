@@ -40,6 +40,9 @@ POLY_WIENER = "poly_wiener"
 
 _CLASS_KINDS = (WIENER_MIXED, WIENER_ISO, SOBOLEV_MIXED, POLY_WIENER)
 
+# points per block in evaluate_function: bounds its points x support matrix
+_EVAL_CHUNK = 65_536
+
 
 @dataclass(frozen=True)
 class FunctionClass:
@@ -321,10 +324,13 @@ def evaluate_function(f: CoefficientExpansion, points):
             return 0j
         m = 1 if pts.ndim == 0 else pts.shape[0]
         return np.zeros(m, dtype=np.complex128)
-    A = basis_matrix(f.system, f.support_array(), pts)
-    vals = A @ f.values_array()
+    support, values = f.support_array(), f.values_array()
     if scalar:
-        return complex(vals.reshape(-1)[0])
+        return complex((basis_matrix(f.system, support, pts) @ values)[0])
+    vals = np.empty(pts.shape[0], dtype=np.complex128)
+    for start in range(0, pts.shape[0], _EVAL_CHUNK):
+        stop = start + _EVAL_CHUNK
+        vals[start:stop] = basis_matrix(f.system, support, pts[start:stop]) @ values
     return vals
 
 

@@ -290,7 +290,9 @@ def basis_matrix(system: System, indices, points) -> np.ndarray:
         return _clamp_unit_modulus(A)
     if system.kind == CHEBYSHEV:
         theta = np.arccos(pts)
-        A = np.cos(theta[:, None] * idx[None, :])
+        # cos in place: assembly holds one m x N array, not two
+        A = np.multiply.outer(theta, idx)
+        np.cos(A, out=A)
         A *= np.where(idx == 0, 1.0, np.sqrt(2.0))
         return A
     max_degree = int(idx.max()) if idx.size else 0

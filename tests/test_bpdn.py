@@ -1,5 +1,7 @@
 """Tests for the l1-minimization solver and its orthonormal-matrix oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from l1sample.bpdn import (
     BpdnProblem,
+    _adjoint,
+    _forward,
     bpdn_orthonormal_oracle,
     soft_threshold_complex,
     solve_bpdn,
@@ -258,3 +262,60 @@ def test_step_ratio_variants_reach_the_same_solution():
         assert sol.certified
         denom = max(1.0, float(np.linalg.norm(exact.z)))
         assert np.linalg.norm(sol.z - exact.z) / denom <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# products: the support-only forward product and the in-place adjoint
+
+
+@pytest.mark.parametrize("complex_data", [True, False])
+@pytest.mark.parametrize("nnz", [0, 3, 40])
+def test_products_match_the_dense_reference(complex_data, nnz):
+    rng = np.random.default_rng(31 + nnz)
+    m, N = 12, 40
+    A = rng.normal(size=(m, N))
+    x = np.zeros(N)
+    x[rng.choice(N, nnz, replace=False)] = rng.normal(size=nnz)
+    w = rng.normal(size=m)
+    if complex_data:
+        A = A + 1j * rng.normal(size=(m, N))
+        x = x + 1j * (x != 0) * rng.normal(size=N)
+        w = w + 1j * rng.normal(size=m)
+    for got, want in ((_forward(A, x), A @ x), (_adjoint(A, w), A.conj().T @ w)):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _sparse_recovery_instance(rng, m, N, complex_data, s=4, max_iters=50_000):
+    A = rng.normal(size=(m, N)) / np.sqrt(m)
+    x = np.zeros(N)
+    x[rng.choice(N, s, replace=False)] = rng.normal(size=s)
+    if complex_data:
+        A = A + 1j * rng.normal(size=(m, N)) / np.sqrt(m)
+        x = x + 1j * (x != 0) * rng.normal(size=N)
+    y = A @ x + 1e-3 * rng.normal(size=m)
+    return BpdnProblem(A, y, eta=1e-3, step_ratio=0.0625, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("complex_data", [True, False])
+def test_certified_residual_equals_the_dense_recompute(complex_data):
+    rng = np.random.default_rng(47 if complex_data else 48)
+    for _ in range(3):
+        prob = _sparse_recovery_instance(rng, 30, 120, complex_data)
+        sol = solve_bpdn(prob)
+        assert sol.certified
+        dense = np.linalg.norm(prob.A @ sol.z - prob.y)
+        assert abs(sol.residual_norm - dense) <= 1e-12 * dense
+
+
+def test_solver_allocates_well_under_one_copy_of_A():
+    rng = np.random.default_rng(53)
+    prob = _sparse_recovery_instance(rng, 256, 4096, complex_data=False, max_iters=100)
+    assert prob.A.nbytes >= 8 * 2**20
+    tracemalloc.start()
+    try:
+        solve_bpdn(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < prob.A.nbytes / 2

@@ -2,13 +2,18 @@
 
 Runs small rate sweeps, phase tables and ``l1sample recover`` calls through
 the public API and the CLI entry point, and prints every report in full.
-Run it on two checkouts and compare the files byte for byte:
+Run it on two checkouts and compare the files:
 
     PYTHONPATH=src python tools/dump_outputs.py > before.txt
     (other checkout) PYTHONPATH=src python tools/dump_outputs.py > after.txt
-    cmp before.txt after.txt
+    PYTHONPATH=src python tools/dump_outputs.py --compare before.txt after.txt
 
-A refactor that claims unchanged results should leave the files identical.
+A refactor that claims unchanged results should leave the files identical
+(``cmp``).  A change that reorders floating-point sums may move floats in
+their last digits; ``--compare`` accepts that and nothing else: every token
+that is not a float (text, integers, counts, flags) must match exactly, and
+floats must agree within ``rtol=1e-6, atol=1e-12``.  It prints the largest
+float difference and exits 1 on the first mismatch.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 
 from l1sample import (
@@ -76,7 +82,47 @@ def _section(title: str, text: str) -> None:
     sys.stdout.write(f"== {title}\n{text}")
 
 
+RTOL, ATOL = 1e-6, 1e-12
+
+# a number token; it is a float when it has a decimal point or an exponent
+_NUMBER = re.compile(r"(-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _is_float(token: str) -> bool:
+    return any(c in token for c in ".eE")
+
+
+def compare(before: str, after: str) -> int:
+    """Compare two dumps: exact outside floats, floats within RTOL and ATOL."""
+    a_parts, b_parts = _NUMBER.split(before), _NUMBER.split(after)
+    if len(a_parts) != len(b_parts):
+        print(f"token counts differ: {len(a_parts)} vs {len(b_parts)}")
+        return 1
+    floats, worst = 0, 0.0
+    for i, (a, b) in enumerate(zip(a_parts, b_parts)):
+        # split() puts the captured number tokens at the odd positions
+        if i % 2 and _is_float(a) and _is_float(b):
+            x, y = float(a), float(b)
+            floats += 1
+            if abs(x - y) > ATOL + RTOL * abs(x):
+                print(f"part {i} differs: {a} vs {b}")
+                return 1
+            if x != y:
+                worst = max(worst, abs(x - y) / max(abs(x), ATOL))
+        elif a != b:
+            print(f"part {i} differs: {a!r} vs {b!r}")
+            return 1
+    print(f"match: {len(a_parts) // 2} numbers, {floats} floats, "
+          f"largest relative float difference {worst:.3g}")
+    return 0
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["--compare"]:
+        if len(sys.argv) != 4:
+            sys.exit("usage: dump_outputs.py [--compare BEFORE AFTER]")
+        with open(sys.argv[2]) as fa, open(sys.argv[3]) as fb:
+            return compare(fa.read(), fb.read())
     for title, config in RATE_CASES.items():
         report = run_rate_experiment(config)
         _section(title, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
