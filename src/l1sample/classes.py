@@ -15,7 +15,7 @@ functions by a weighted sequence norm of their coefficients:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -352,22 +352,28 @@ def _guarded_log(x: float) -> float:
     return float(np.log(max(x, 2.0)))
 
 
+def best_term_exponents(klass: FunctionClass) -> Tuple[float, float]:
+    """Exponent pair (a, b) of the class's best n-term width: the worst-case
+    uniform-norm best n-term error over the unit ball is n^a log(n)^b."""
+    r, d = klass.r, klass.d
+    if klass.kind == WIENER_MIXED:
+        return -(r + 0.5), (d - 1) * r + 0.5
+    if klass.kind == SOBOLEV_MIXED:
+        return -r, (d - 1) * r + 0.5
+    if klass.kind == WIENER_ISO:
+        return -(r / d + 1.0 / klass.p - 0.5), 0.0
+    if klass.alpha == -0.5:
+        return -(r + 1.0 / klass.p - 0.5), 0.0
+    return -(r + 1.0 / klass.p - 1.0), 0.0
+
+
 def analytic_best_term_bound(klass: FunctionClass, n: int) -> float:
     """Upper bound for the worst-case uniform-norm best n-term error over
     the class's unit ball."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = klass.r
-    g = _guarded_log(n)
-    if klass.kind == WIENER_MIXED:
-        return n ** -(r + 0.5) * g ** ((klass.d - 1) * r + 0.5)
-    if klass.kind == SOBOLEV_MIXED:
-        return n**-r * g ** ((klass.d - 1) * r + 0.5)
-    if klass.kind == WIENER_ISO:
-        return n ** -(r / klass.d + 1.0 / klass.p - 0.5)
-    if klass.alpha == -0.5:
-        return n ** -(r + 1.0 / klass.p - 0.5)
-    return n ** -(r + 1.0 / klass.p - 1.0)
+    a, b = best_term_exponents(klass)
+    return n**a * _guarded_log(n) ** b
 
 
 def _tail_power_sum(s: float, start: int) -> float:
@@ -377,6 +383,12 @@ def _tail_power_sum(s: float, start: int) -> float:
     partial = float((i.astype(float) ** -s).sum())
     remainder = cutoff ** -s + cutoff ** (1.0 - s) / (s - 1.0)
     return partial + remainder
+
+
+def tail_exponent(klass: FunctionClass) -> float:
+    """Decay exponent t of the unit ball's coefficient tail: O(M^-t) outside
+    the cut-off M (see analytic_tail_bound)."""
+    return klass.r - 0.5 if klass.kind == SOBOLEV_MIXED else klass.r
 
 
 def analytic_tail_bound(klass: FunctionClass, M: int) -> float:

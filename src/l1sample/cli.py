@@ -56,41 +56,35 @@ def _float_list(text: str):
     return tuple(float(v) for v in str(text).replace(" ", "").split(",") if v)
 
 
-_CLASS_OPTS = {
+# options of the two subcommands that run the rate trial
+_TRIAL_OPTS = {
     "class_kind": (str, "wiener_mixed"),
     "r": (float, 1.0),
     "p": (float, None),
     "alpha": (float, None),
     "d": (int, 1),
+    "theorem": (str, None),
+    "c_sample": (float, 1.0),
+    "c_eta": (float, 1.0),
+    "eta": (float, None),
+    "seed": (int, 0),
+    "step_ratio": (float, 1.0),
+    "output": (str, None),
 }
 
 _RECOVER_OPTS = {
-    **_CLASS_OPTS,
+    **_TRIAL_OPTS,
     "n": (int, 4),
     "M": (int, None),
-    "theorem": (str, None),
-    "c_sample": (float, 1.0),
-    "c_eta": (float, 1.0),
-    "eta": (float, None),
     "sparsity": (int, None),
-    "seed": (int, 0),
-    "step_ratio": (float, 1.0),
-    "output": (str, None),
 }
 
 _RATES_OPTS = {
-    **_CLASS_OPTS,
+    **_TRIAL_OPTS,
     "n_values": (_int_list, (4, 8, 16, 32)),
     "trials": (int, 10),
-    "theorem": (str, None),
-    "c_sample": (float, 1.0),
-    "c_eta": (float, 1.0),
-    "eta": (float, None),
     "sparsity_mode": (str, "n"),
-    "seed": (int, 0),
-    "step_ratio": (float, 1.0),
     "format": (str, "csv"),
-    "output": (str, None),
 }
 
 _PHASE_OPTS = {
@@ -192,28 +186,23 @@ def _emit(report, fmt: str, path: Optional[str]) -> None:
         emit_report(report, fmt, resolved)
 
 
-def _class_from(opts: dict) -> FunctionClass:
-    return FunctionClass(
-        opts["class_kind"],
-        opts["r"],
-        d=opts["d"],
-        p=opts["p"],
-        alpha=opts["alpha"],
-    )
-
-
-def _cmd_recover(opts: dict) -> int:
-    config = ExperimentConfig(
-        klass=_class_from(opts),
-        n_values=(opts["n"],),
-        trials_per_n=1,
+def _experiment_config(opts: dict, n_values, **fields) -> ExperimentConfig:
+    return ExperimentConfig(
+        klass=FunctionClass(opts["class_kind"], opts["r"], d=opts["d"], p=opts["p"],
+                            alpha=opts["alpha"]),
+        n_values=n_values,
         theorem=opts["theorem"],
         c_sample=opts["c_sample"],
         c_eta=opts["c_eta"],
         eta_override=opts["eta"],
         seed_base=opts["seed"],
         step_ratio=opts["step_ratio"],
+        **fields,
     )
+
+
+def _cmd_recover(opts: dict) -> int:
+    config = _experiment_config(opts, (opts["n"],), trials_per_n=1)
     # trial 0 of row 0 of the matching rate sweep
     rc = _recovery_config(config, opts["n"], M=opts["M"])
     result = _rate_trial(config, rc, _trial_seeds(opts["seed"], 0, 0), opts["sparsity"])
@@ -224,18 +213,8 @@ def _cmd_recover(opts: dict) -> int:
 
 
 def _cmd_rates(opts: dict) -> int:
-    config = ExperimentConfig(
-        klass=_class_from(opts),
-        n_values=tuple(opts["n_values"]),
-        trials_per_n=opts["trials"],
-        theorem=opts["theorem"],
-        c_sample=opts["c_sample"],
-        c_eta=opts["c_eta"],
-        eta_override=opts["eta"],
-        seed_base=opts["seed"],
-        sparsity=opts["sparsity_mode"],
-        step_ratio=opts["step_ratio"],
-    )
+    config = _experiment_config(opts, tuple(opts["n_values"]), trials_per_n=opts["trials"],
+                                sparsity=opts["sparsity_mode"])
     report = run_rate_experiment(config)
     _emit(report, opts["format"], opts["output"])
     if opts["strict"] and report.uncertified_trials:

@@ -16,17 +16,13 @@ from .classes import (
 )
 from .harness import box_parameter
 from .recovery import (
-    CHEBYSHEV_REGIME,
-    FOURIER3,
-    LEGENDRE_REGIME,
     RecoveryConfig,
+    default_regime,
     recover,
     search_set,
 )
 from .systems import (
-    CHEBYSHEV,
     FOURIER,
-    LEGENDRE_PRECONDITIONED,
     System,
     _point_array,
     basis_matrix,
@@ -59,12 +55,6 @@ def check_sample_values(y, n_points: int) -> np.ndarray:
         raise ValueError("sample values must be finite")
     return vals
 
-
-_DEFAULT_REGIME = {
-    FOURIER: FOURIER3,
-    CHEBYSHEV: CHEBYSHEV_REGIME,
-    LEGENDRE_PRECONDITIONED: LEGENDRE_REGIME,
-}
 
 _PARAM_NAMES = (
     "system", "dim", "theorem", "class_kind", "r", "p", "alpha",
@@ -152,14 +142,7 @@ class FunctionRecovery:
 
     def _build_config(self) -> RecoveryConfig:
         system = self._resolved_system()
-        theorem = self.theorem
-        if theorem is None:
-            try:
-                theorem = _DEFAULT_REGIME[system.kind]
-            except KeyError:
-                raise ValueError(
-                    f"no sampling regime for system kind {system.kind!r}"
-                ) from None
+        theorem = self.theorem if self.theorem is not None else default_regime(system)
         klass = None
         if self.eta is None or self.M is None:
             klass = self._resolved_class()

@@ -19,21 +19,21 @@ import numpy as np
 
 from .classes import (
     POLY_WIENER,
-    SOBOLEV_MIXED,
-    WIENER_ISO,
-    WIENER_MIXED,
     FunctionClass,
+    best_term_exponents,
     evaluate_function,
     random_unit_function,
+    tail_exponent,
 )
 from .recovery import (
     CHEBYSHEV_REGIME,
     FOURIER3,
-    FOURIER_GRID,
     LEGENDRE_REGIME,
     RecoveryConfig,
     RecoveryResult,
     recover,
+    regime_plan,
+    regime_system,
     sample_count,
     search_set,
 )
@@ -44,10 +44,7 @@ from .systems import (
     SamplePlan,
     System,
     basis_matrix,
-    chebyshev_system,
     draw_points,
-    fourier_system,
-    legendre_preconditioned_system,
     make_index_set,
 )
 from .bpdn import BpdnProblem, solve_bpdn
@@ -62,30 +59,13 @@ def default_theorem(klass: FunctionClass) -> str:
     return FOURIER3
 
 
-def regime_system(theorem: str, klass: FunctionClass) -> System:
-    if theorem in (FOURIER3, FOURIER_GRID):
-        return fourier_system(klass.d)
-    if theorem == CHEBYSHEV_REGIME:
-        return chebyshev_system()
-    return legendre_preconditioned_system()
-
-
 def m_rule_exponent(klass: FunctionClass) -> float:
     """Exponent e of the cut-off rule M = floor(n^e).
 
-    Chosen so the truncation tail decays no slower than the best n-term
-    error of the class.
+    Chosen so the truncation tail, of order M^-t, decays no slower than the
+    best n-term error of the class, of order n^a: e = -a / t.
     """
-    r = klass.r
-    if klass.kind == WIENER_MIXED:
-        return (r + 0.5) / r
-    if klass.kind == SOBOLEV_MIXED:
-        return r / (r - 0.5)
-    if klass.kind == WIENER_ISO:
-        return 1.0 / klass.d + 1.0 / (klass.p * r) - 1.0 / (2.0 * r)
-    if klass.alpha == -0.5:
-        return 1.0 + 1.0 / (klass.p * r) - 1.0 / (2.0 * r)
-    return 1.0 + 1.0 / (klass.p * r) - 1.0 / r
+    return -best_term_exponents(klass)[0] / tail_exponent(klass)
 
 
 def box_parameter(klass: FunctionClass, n: int) -> int:
@@ -112,17 +92,7 @@ def predicted_rate(klass: FunctionClass, index: str = "n") -> Tuple[float, float
     """
     if index not in ("n", "m"):
         raise ValueError("index must be 'n' or 'm'")
-    r, d = klass.r, klass.d
-    if klass.kind == WIENER_MIXED:
-        pair = (-(r + 0.5), (d - 1) * r + 0.5)
-    elif klass.kind == SOBOLEV_MIXED:
-        pair = (-r, (d - 1) * r + 0.5)
-    elif klass.kind == WIENER_ISO:
-        pair = (-(r / d + 1.0 / klass.p - 0.5), 0.0)
-    elif klass.alpha == -0.5:
-        pair = (-(r + 1.0 / klass.p - 0.5), 0.0)
-    else:
-        pair = (-(r + 1.0 / klass.p - 1.0), 0.0)
+    pair = best_term_exponents(klass)
     if index == "n":
         return pair
     transfer = rate_transfer(1.0, 3.0, -pair[0], pair[1])
@@ -362,10 +332,7 @@ def _rate_trial(config: ExperimentConfig, rc: RecoveryConfig, seeds: Tuple[int, 
     placement = "head" if config.sparsity == "head" else "random"
     f = random_unit_function(config.klass, J, sparsity=sparsity, seed=seed_f,
                              placement=placement)
-    grid = rc.theorem == FOURIER_GRID
-    plan = SamplePlan(seed=seed_pts, mode="grid" if grid else "continuous",
-                      grid_size=J.half_width if grid else None)
-    points = draw_points(rc.system, sample_count(rc), plan)
+    points = draw_points(rc.system, sample_count(rc), regime_plan(rc, seed_pts))
     return recover(evaluate_function(f, points), rc, points, f_true=f)
 
 

@@ -20,7 +20,7 @@ formulas in (n, M) with adjustable leading constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .systems import (
     IndexSet,
     SamplePlan,
     System,
+    _normalize_index,
     _point_array,
     basis_matrix,
     draw_points,
@@ -56,22 +57,41 @@ FOURIER_GRID = "fourier_grid"
 CHEBYSHEV_REGIME = "chebyshev"
 LEGENDRE_REGIME = "legendre"
 
-_THEOREMS = (FOURIER3, FOURIER_GRID, CHEBYSHEV_REGIME, LEGENDRE_REGIME)
 
-_REGIME_SYSTEM = {
-    FOURIER3: FOURIER,
-    FOURIER_GRID: FOURIER,
-    CHEBYSHEV_REGIME: CHEBYSHEV,
-    LEGENDRE_REGIME: LEGENDRE_PRECONDITIONED,
+class _Regime(NamedTuple):
+    system: str  # kind of the system the regime samples
+    tau: float  # weight multiplier in the automatic noise rule
+    lattice: bool  # points come from the search box's lattice
+
+
+# the first regime listed for a system kind is that system's default
+_REGIMES = {
+    FOURIER3: _Regime(FOURIER, float(np.e), False),
+    FOURIER_GRID: _Regime(FOURIER, float(np.e), True),
+    CHEBYSHEV_REGIME: _Regime(CHEBYSHEV, 2.0, False),
+    LEGENDRE_REGIME: _Regime(LEGENDRE_PRECONDITIONED, 1.0, False),
 }
 
-# weight multipliers in the automatic noise rule, one per regime
-_ETA_TAU = {
-    FOURIER3: float(np.e),
-    FOURIER_GRID: float(np.e),
-    CHEBYSHEV_REGIME: 2.0,
-    LEGENDRE_REGIME: 1.0,
-}
+
+def _regime(theorem: str) -> _Regime:
+    try:
+        return _REGIMES[theorem]
+    except KeyError:
+        raise ValueError(f"unknown sampling regime: {theorem!r}") from None
+
+
+def default_regime(system: System) -> str:
+    """The sampling regime a system is recovered under by default."""
+    for theorem, regime in _REGIMES.items():
+        if regime.system == system.kind:
+            return theorem
+    raise ValueError(f"no sampling regime for system kind {system.kind!r}")
+
+
+def regime_system(theorem: str, klass: FunctionClass) -> System:
+    """The system a regime samples, in the class's dimension for Fourier."""
+    kind = _regime(theorem).system
+    return System(kind, klass.d if kind == FOURIER else 1)
 
 
 @dataclass(frozen=True)
@@ -91,12 +111,10 @@ class RecoveryConfig:
     step_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.theorem not in _THEOREMS:
-            raise ValueError(f"unknown sampling regime: {self.theorem!r}")
-        if self.system.kind != _REGIME_SYSTEM[self.theorem]:
+        regime = _regime(self.theorem)
+        if self.system.kind != regime.system:
             raise ValueError(
-                f"regime {self.theorem!r} requires a "
-                f"{_REGIME_SYSTEM[self.theorem]} system"
+                f"regime {self.theorem!r} requires a {regime.system} system"
             )
         if self.n < 1:
             raise ValueError("n must be >= 1")
@@ -147,7 +165,7 @@ def choose_eta(config: RecoveryConfig) -> float:
         return float(config.eta_override)
     if config.klass is None:
         raise ValueError("automatic eta needs a function class")
-    tau = _ETA_TAU[config.theorem]
+    tau = _REGIMES[config.theorem].tau
     sigma_bar = analytic_best_term_bound(config.klass, config.n)
     tail_bar = analytic_tail_bound(config.klass, config.M)
     return float(config.c_eta * (tau * sigma_bar + (1.0 + tau) * tail_bar))
@@ -160,6 +178,14 @@ def build_matrix(config: RecoveryConfig, points) -> np.ndarray:
     if pts.size == 0:
         raise ValueError("need at least one sample point")
     return basis_matrix(config.system, search_set(config), points)
+
+
+def regime_plan(config: RecoveryConfig, seed: int) -> SamplePlan:
+    """The regime's point draw: from the search box's lattice or the
+    system's measure."""
+    if _REGIMES[config.theorem].lattice:
+        return SamplePlan(seed=seed, mode="grid", grid_size=search_set(config).half_width)
+    return SamplePlan(seed=seed)
 
 
 def sample_points(config: RecoveryConfig, m: Optional[int] = None) -> np.ndarray:
@@ -243,13 +269,12 @@ def recover(
     )
     solution = solve_bpdn(problem)
 
-    keys = search_set(config).as_tuples()
-    coeffs = {
-        key: complex(value)
-        for key, value in zip(keys, solution.z)
-        if value != 0
-    }
-    expansion = CoefficientExpansion(out_system, coeffs)
+    support = solution.z.nonzero()[0]
+    keys = search_set(config).indices()[support]
+    expansion = CoefficientExpansion(out_system, {
+        _normalize_index(key): complex(value)
+        for key, value in zip(keys, solution.z[support])
+    })
 
     err = None
     if f_true is not None:

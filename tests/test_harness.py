@@ -9,7 +9,13 @@ import pytest
 
 from l1sample import harness
 from l1sample.bpdn import solve_bpdn
-from l1sample.classes import poly_wiener, sobolev_mixed, wiener_iso, wiener_mixed
+from l1sample.classes import (
+    analytic_best_term_bound,
+    poly_wiener,
+    sobolev_mixed,
+    wiener_iso,
+    wiener_mixed,
+)
 from l1sample.harness import (
     CSV_HEADER,
     PHASE_SUCCESS_THRESHOLD,
@@ -55,6 +61,8 @@ def test_regime_system_dimensions():
     assert regime_system(LEGENDRE_REGIME, poly_wiener(0.0, 1.0, 1.0)).kind == (
         "legendre_preconditioned"
     )
+    with pytest.raises(ValueError, match="unknown sampling regime"):
+        regime_system("bogus", wiener_mixed(1.0, 1))
 
 
 def test_cut_off_exponents():
@@ -77,8 +85,44 @@ def test_box_parameter_values_and_guard():
         box_parameter(klass, 0)
 
 
+# the exponent is the best-term power over the tail exponent, a quotient that
+# may differ from the closed form per class in its last bit; the cut-offs and
+# the m-indexed pair may not
+@pytest.mark.parametrize(
+    "klass,exponent,cut_offs,m_pair",
+    [
+        (wiener_mixed(1.5, 2), 1.3333333333333333, (3, 16, 101), (-2.0, 8.0)),
+        (sobolev_mixed(0.75, 1), 3.0, (8, 512, 32768), (-0.75, 2.75)),
+        (sobolev_mixed(1.5, 3), 1.5, (3, 22, 181), (-1.5, 8.0)),
+        (wiener_iso(0.75, 0.5, 2), 2.5, (5, 181, 5792), (-1.875, 5.625)),
+        (wiener_iso(1.5, 1.0, 3), 0.6666666666666667, (3, 4, 10), (-1.0, 3.0)),
+        (poly_wiener(-0.5, 2.0, 0.5), 1.75, (3, 38, 430), (-3.5, 10.5)),
+        (poly_wiener(0.0, 1.5, 1.0), 0.9999999999999999, (3, 8, 32), (-1.5, 4.5)),
+        (poly_wiener(0.0, 0.75, 0.5), 2.333333333333333, (5, 128, 3250), (-1.75, 5.25)),
+    ],
+)
+def test_cut_off_rule_and_m_rate_for_r_other_than_one(klass, exponent, cut_offs, m_pair):
+    assert m_rule_exponent(klass) == pytest.approx(exponent, rel=1e-15)
+    assert tuple(box_parameter(klass, n) for n in (2, 8, 32)) == cut_offs
+    assert predicted_rate(klass, "m") == m_pair
+
+
 # ---------------------------------------------------------------------------
 # predicted exponents
+
+
+@pytest.mark.parametrize(
+    "klass",
+    [wiener_mixed(1.5, d) for d in (1, 2, 3)]
+    + [sobolev_mixed(0.75, d) for d in (1, 2, 3)]
+    + [wiener_iso(0.75, 0.5, d) for d in (1, 2, 3)]
+    + [poly_wiener(-0.5, 2.0, 0.5), poly_wiener(0.0, 1.5, 1.0)],
+)
+def test_best_term_bound_evaluates_the_predicted_pair(klass):
+    # the noise rule's bound and the reported slope come from one exponent pair
+    a, b = predicted_rate(klass, "n")
+    for n in range(1, 301):
+        assert analytic_best_term_bound(klass, n) == n**a * math.log(max(n, 2)) ** b
 
 
 def test_predicted_rate_in_n():
@@ -93,7 +137,8 @@ def test_predicted_rate_in_n():
 
 @pytest.mark.parametrize(
     "r,d,expected",
-    [(1.0, 1.0, (-1.5, 5.0)), (1.0, 2.0, (-1.5, 6.0)), (2.0, 3.0, (-2.5, 12.0))],
+    [(1.0, 1.0, (-1.5, 5.0)), (1.0, 2.0, (-1.5, 6.0)), (2.0, 3.0, (-2.5, 12.0)),
+     (0.75, 2.0, (-1.25, 5.0)), (1.5, 1.0, (-2.0, 6.5))],
 )
 def test_predicted_rate_in_m_for_mixed_classes(r, d, expected):
     # the m-indexed pair is (-(r+1/2), 3(r+1/2) + (d-1)r + 1/2), exactly

@@ -1,7 +1,8 @@
 """Print the outputs of a fixed set of seeded experiments, for comparing commits.
 
-Runs small rate sweeps, phase tables and ``l1sample recover`` calls through
-the public API and the CLI entry point, and prints every report in full.
+Runs small rate sweeps, phase tables, ``FunctionRecovery`` fits and
+``l1sample recover`` calls through the public API and the CLI entry point,
+and prints every report in full.
 Run it on two checkouts and compare the files:
 
     PYTHONPATH=src python tools/dump_outputs.py > before.txt
@@ -24,13 +25,24 @@ import json
 import re
 import sys
 
+import numpy as np
+
 from l1sample import (
     ExperimentConfig,
+    FunctionRecovery,
+    SamplePlan,
+    chebyshev_system,
+    draw_points,
     emit_report,
+    evaluate_function,
+    explicit_index_set,
     fourier_system,
+    legendre_preconditioned_system,
     poly_wiener,
+    random_unit_function,
     run_phase_experiment,
     run_rate_experiment,
+    sobolev_mixed,
     wiener_iso,
     wiener_mixed,
 )
@@ -57,6 +69,10 @@ RATE_CASES = {
     "wiener_mixed eta=0 max_iters=200": ExperimentConfig(
         wiener_mixed(1.0, 1), (4, 8, 16), trials_per_n=4, seed_base=10,
         eta_override=0.0, max_iters=200, step_ratio=STEP),
+    # the only class whose cut-off rule divides by the r - 1/2 tail exponent
+    "sobolev_mixed r=0.75": ExperimentConfig(
+        sobolev_mixed(0.75, 1), (2, 4, 8), trials_per_n=2, seed_base=12,
+        step_ratio=STEP),
 }
 
 PHASE_CASES = {
@@ -64,6 +80,25 @@ PHASE_CASES = {
                             m_grid=(8, 16, 24, 40), trials=6, seed=3),
     "phase d=2 N=9": dict(system=fourier_system(2), N=9, s=2,
                           m_grid=(3, 6, 9), trials=5, seed=4),
+}
+
+# estimator fits with the default regime (theorem=None) and cut-off (M=None):
+# (estimator parameters, true function's class, its support, system the points
+# are drawn for, point count, seed)
+FIT_CASES = {
+    "fit fourier d=2": (
+        dict(system="fourier", dim=2, class_kind="wiener_mixed", r=1.0, n=2),
+        wiener_mixed(1.0, 2), [(0, 0), (1, -2), (-3, 1), (2, 2)], fourier_system(2),
+        60, 13),
+    "fit chebyshev": (
+        dict(system="chebyshev", class_kind="poly_wiener", alpha=-0.5, r=1.0, p=0.5,
+             n=3),
+        poly_wiener(-0.5, 1.0, 0.5), [0, 2, 5, 9], chebyshev_system(), 30, 14),
+    "fit legendre_preconditioned": (
+        dict(system="legendre_preconditioned", class_kind="poly_wiener", alpha=0.0,
+             r=1.0, p=1.0, n=6),
+        poly_wiener(0.0, 1.0, 1.0), [0, 1, 3, 4], legendre_preconditioned_system(),
+        40, 15),
 }
 
 RECOVER_BASE = ["recover", "--class-kind", "wiener_mixed", "--r", "1", "--n", "4",
@@ -76,6 +111,17 @@ RECOVER_CASES = {
 }
 RECOVER_CASES["recover fourier_grid M=6"] = RECOVER_BASE + [
     "--theorem", "fourier_grid", "--M", "6", "--seed", "11"]
+
+
+def _fit(params: dict, klass, support, point_system, m: int, seed: int) -> str:
+    est = FunctionRecovery(c_eta=1e-3, step_ratio=STEP, **params)
+    f = random_unit_function(klass, explicit_index_set(support), seed=seed)
+    pts = draw_points(point_system, m, SamplePlan(seed))
+    est.fit(pts, evaluate_function(f, pts))
+    coefficients = [[z.real, z.imag] for z in np.asarray(est.coefficients_)]
+    return (f"theorem {est.config_.theorem} M {est.config_.M}\n"
+            f"coefficients {json.dumps(coefficients)}\n"
+            + json.dumps(est.result_.to_json(), indent=2, sort_keys=True) + "\n")
 
 
 def _section(title: str, text: str) -> None:
@@ -132,6 +178,8 @@ def main() -> int:
     for title, kwargs in PHASE_CASES.items():
         report = run_phase_experiment(step_ratio=STEP, **kwargs)
         _section(title, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    for title, case in FIT_CASES.items():
+        _section(title, _fit(*case))
     for title, argv in RECOVER_CASES.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
