@@ -7,6 +7,7 @@ additionally get a closed-form solution used as an oracle in tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -120,8 +121,15 @@ def _adjoint(A: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.conjugate(g, out=g)
 
 
-def _operator_norm(A: np.ndarray, iters: int = 60) -> float:
-    """Power-method estimate of the spectral norm, deterministic start."""
+def _operator_norm(A: np.ndarray, transform=None, iters: int = 60) -> float:
+    """Power-method estimate of the spectral norm, deterministic start.
+
+    With a transform, its fast products stand in for the dense ones.
+    """
+    if transform is None:
+        forward, adjoint = functools.partial(np.matmul, A), functools.partial(_adjoint, A)
+    else:
+        forward, adjoint = transform.forward, transform.adjoint
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(A.shape[1])
     if np.iscomplexobj(A):
@@ -131,12 +139,12 @@ def _operator_norm(A: np.ndarray, iters: int = 60) -> float:
         return 0.0
     v = v / nv
     for _ in range(iters):
-        w = _adjoint(A, A @ v)
+        w = adjoint(forward(v))
         nw = np.linalg.norm(w)
         if nw == 0:
             return 0.0
         v = w / nw
-    return float(np.linalg.norm(A @ v))
+    return float(np.linalg.norm(forward(v)))
 
 
 def _dual_objective(w: np.ndarray, AH_w: np.ndarray, y: np.ndarray, rho: float) -> float:
@@ -151,7 +159,7 @@ def _stalled(x: np.ndarray, x_prev: np.ndarray) -> bool:
             <= 1e-13 * max(1.0, float(np.abs(x).max(initial=0.0))))
 
 
-def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
+def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
     """Primal-dual solve with a duality-gap stopping certificate.
 
     The problem is positively homogeneous in ``(y, radius)``, so it is first
@@ -170,11 +178,20 @@ def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
     A is read in place and never copied.  The iterates are sparse, so the
     forward products (the step and every residual, including the returned
     one) multiply only the columns on the support of z; this is the dense
-    sum without its zero terms.  The adjoint product, and with it the dual
-    value in the gap, is always the exact dense A^H w.
+    sum without its zero terms.
+
+    ``transform`` is an optional fast stand-in for the products with A (an
+    object with ``forward(v) = A v`` and ``adjoint(w) = A^H w``, such as
+    ``systems.ChebyshevTransform``).  It serves the norm estimate and the
+    adjoint of every iteration but the checks (every 25th and the last).
+    Those use the exact dense A^H w, so the gap, the stall test, the
+    residual and the returned point behind a certificate rest on exact
+    products.
     """
     A, y, rho = problem.A, problem.y, problem.radius
     m, N = A.shape
+    if transform is not None and tuple(transform.shape) != (m, N):
+        raise ValueError("the transform's shape does not match A")
     obj_tol = problem.obj_tol
 
     y_norm = float(np.linalg.norm(y))
@@ -194,7 +211,7 @@ def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
     rho = rho / scale
     feas_tol = problem.effective_feas_tol / scale
 
-    L = _operator_norm(A)
+    L = _operator_norm(A, transform)
     if L == 0.0:
         raise ValueError("A is numerically zero and y lies outside the radius")
     step = 0.95 / (1.05 * L)
@@ -208,18 +225,21 @@ def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
     z_prev_check = z.copy()
     w_prev_check = w.copy()
     gap = np.inf
+    # the adjoint between checks; without a transform it is the dense one
+    adjoint = _adjoint if transform is None else lambda _, w: transform.adjoint(w)
 
     for it in range(1, problem.max_iters + 1):
+        check = it % 25 == 0 or it == problem.max_iters
         v = w + sigma * _forward(A, zbar) - sigma_y
         nv = float(np.linalg.norm(v))
         shrink = max(0.0, 1.0 - sigma * rho / nv) if nv > 0 else 0.0
         w = v * shrink
-        AH_w = _adjoint(A, w)
+        AH_w = _adjoint(A, w) if check else adjoint(A, w)
         z_new = soft_threshold_complex(z - tau * AH_w, tau)
         zbar = 2.0 * z_new - z
         z = z_new
 
-        if it % 25 == 0 or it == problem.max_iters:
+        if check:
             residual = float(np.linalg.norm(_forward(A, z) - y))
             feasible = residual <= rho + feas_tol
             objective = float(np.abs(z).sum())

@@ -21,11 +21,13 @@ from .classes import (
     POLY_WIENER,
     FunctionClass,
     best_term_exponents,
+    default_system,
     evaluate_function,
     random_unit_function,
     tail_exponent,
 )
 from .recovery import (
+    _LEGENDRE_KINDS,
     CHEBYSHEV_REGIME,
     FOURIER3,
     LEGENDRE_REGIME,
@@ -301,8 +303,14 @@ def _recovery_config(config: ExperimentConfig, n: int, M: Optional[int] = None) 
     """A sweep's recovery set-up at sparsity n; M defaults to the class's rule."""
     klass = config.klass
     theorem = config.theorem or default_theorem(klass)
+    system, expected = regime_system(theorem, klass), default_system(klass)
+    # the preconditioned and the raw Legendre systems share coefficients
+    if system.kind != expected.kind and not {system.kind, expected.kind} <= _LEGENDRE_KINDS:
+        raise ValueError(
+            f"regime {theorem!r} samples the {system.kind} system, but this "
+            f"{klass.kind} class expands in the {expected.kind} system")
     return RecoveryConfig(
-        system=regime_system(theorem, klass),
+        system=system,
         theorem=theorem,
         n=n,
         M=box_parameter(klass, n) if M is None else M,

@@ -39,6 +39,7 @@ from .systems import (
     LEGENDRE_PRECONDITIONED,
     LEGENDRE_RAW,
     SEARCH_BOX,
+    ChebyshevTransform,
     IndexSet,
     SamplePlan,
     System,
@@ -267,7 +268,9 @@ def recover(
         max_iters=config.max_iters,
         step_ratio=config.step_ratio,
     )
-    solution = solve_bpdn(problem)
+    # Chebyshev iterations run on fast products; the certificate stays dense
+    transform = ChebyshevTransform(pts, A.shape[1]) if config.system.kind == CHEBYSHEV else None
+    solution = solve_bpdn(problem, transform)
 
     support = solution.z.nonzero()[0]
     keys = search_set(config).indices()[support]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l1sample import bpdn
 from l1sample.bpdn import (
     BpdnProblem,
     _adjoint,
@@ -15,6 +16,7 @@ from l1sample.bpdn import (
     soft_threshold_complex,
     solve_bpdn,
 )
+from l1sample.systems import ChebyshevTransform, basis_matrix, chebyshev_system
 
 
 def random_orthonormal_instance(rng, N=8, m=12, complex_data=True, obj_tol=1e-7):
@@ -319,3 +321,68 @@ def test_solver_allocates_well_under_one_copy_of_A():
     finally:
         tracemalloc.stop()
     assert peak < prob.A.nbytes / 2
+
+
+# ---------------------------------------------------------------------------
+# fast Chebyshev products in the iteration
+
+
+class _CountingTransform:
+    def __init__(self, transform):
+        self.transform, self.shape, self.calls = transform, transform.shape, 0
+
+    def forward(self, v):
+        self.calls += 1
+        return self.transform.forward(v)
+
+    def adjoint(self, w):
+        self.calls += 1
+        return self.transform.adjoint(w)
+
+
+def _chebyshev_instance(rng, m, N, complex_y, max_iters=50_000):
+    x = np.cos(np.pi * rng.random(m))
+    A = basis_matrix(chebyshev_system(), np.arange(N), x)
+    c = np.zeros(N)
+    c[rng.choice(N // 4, 4, replace=False)] = rng.normal(size=4)
+    # noise well inside the radius eta * sqrt(m), so c is feasible
+    y = A @ c + 3e-4 * rng.normal(size=m)
+    if complex_y:
+        y = y * (0.6 - 0.8j) + 3e-4j * rng.normal(size=m)
+    return BpdnProblem(A, y, eta=1e-3, feas_tol=1e-6, step_ratio=0.0625,
+                       max_iters=max_iters), x
+
+
+@pytest.mark.parametrize("m, N, complex_y, max_iters", [
+    (20, 61, False, 50_000),
+    (40, 121, False, 50_000),
+    (150, 901, False, 50_000),
+    (40, 121, True, 50_000),
+    (40, 121, False, 60),  # stops uncertified at the iteration budget
+])
+def test_transform_solve_matches_the_dense_solve(monkeypatch, m, N, complex_y, max_iters):
+    rng = np.random.default_rng(61 + m + N + complex_y)
+    prob, x = _chebyshev_instance(rng, m, N, complex_y, max_iters)
+    assert np.iscomplexobj(prob.A) == complex_y
+    dense = solve_bpdn(prob)
+    transform = _CountingTransform(ChebyshevTransform(x, N))
+    exact_adjoints = []
+    monkeypatch.setattr(bpdn, "_adjoint", lambda A, w: exact_adjoints.append(1) or _adjoint(A, w))
+    fast = solve_bpdn(prob, transform)
+    assert (fast.iterations, fast.certified) == (dense.iterations, dense.certified)
+    # the dense adjoint serves exactly the check iterations, the transform
+    # the other iterations and the 60-step power method (121 products)
+    checks = sum(1 for it in range(1, fast.iterations + 1) if it % 25 == 0 or it == max_iters)
+    assert len(exact_adjoints) == checks
+    assert transform.calls == 121 + fast.iterations - checks
+    assert fast.certified == (max_iters == 50_000)
+    assert np.linalg.norm(fast.z - dense.z) <= 1e-9 * np.linalg.norm(dense.z)
+    recomputed = np.linalg.norm(prob.A @ fast.z - prob.y)
+    assert abs(fast.residual_norm - recomputed) <= 1e-12 * recomputed
+
+
+def test_transform_of_another_shape_is_rejected():
+    rng = np.random.default_rng(67)
+    prob, x = _chebyshev_instance(rng, 20, 61, complex_y=False)
+    with pytest.raises(ValueError, match="shape"):
+        solve_bpdn(prob, ChebyshevTransform(x, 60))

@@ -65,6 +65,26 @@ def test_regime_system_dimensions():
         regime_system("bogus", wiener_mixed(1.0, 1))
 
 
+@pytest.mark.parametrize("klass, theorem, sampled, expanded", [
+    (wiener_mixed(1.0, 2), "chebyshev", "chebyshev", "fourier"),
+    (poly_wiener(-0.5, 1.0, 0.5), "fourier3", "fourier", "chebyshev"),
+    (poly_wiener(0.0, 1.0, 1.0), "chebyshev", "chebyshev", "legendre_raw"),
+    (poly_wiener(-0.5, 1.0, 1.0), "legendre", "legendre_preconditioned", "chebyshev"),
+])
+def test_regime_of_another_family_fails_before_any_trial(monkeypatch, klass, theorem,
+                                                         sampled, expanded):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "recover", no_solve)
+    config = ExperimentConfig(klass, (2,), theorem=theorem)
+    with pytest.raises(ValueError) as info:
+        run_rate_experiment(config)
+    message = str(info.value)
+    assert f"samples the {sampled} system" in message
+    assert f"expands in the {expanded} system" in message
+
+
 def test_cut_off_exponents():
     assert m_rule_exponent(wiener_mixed(1.0, 1)) == 1.5
     assert m_rule_exponent(sobolev_mixed(1.0, 2)) == 2.0

@@ -20,6 +20,8 @@ from l1sample import (
     uniform_bound,
 )
 
+from l1sample.systems import ChebyshevTransform
+
 from util import arcsine_cdf, chebyshev_value, ks_statistic, legendre_value, uniform_cdf
 
 SQRT2 = float(np.sqrt(2.0))
@@ -282,3 +284,39 @@ def test_chebyshev_bound_holds(n, x):
 def test_preconditioned_legendre_bound_holds(n, x):
     val = evaluate_basis(legendre_preconditioned_system(), n, x)
     assert abs(val) <= 4.0 * np.sqrt(np.pi) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# fast Chebyshev products
+
+
+@pytest.mark.parametrize("m, N", [(1, 1), (3, 2), (6, 97), (50, 300), (1616, 17377)])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_chebyshev_transform_matches_the_dense_products(m, N, complex_data):
+    rng = np.random.default_rng(m + N)
+    x = np.cos(np.pi * rng.random(m))
+    # x = 1 puts the kernel across the grid's wrap-around at theta = 0, and
+    # x = -1 centres it on theta = pi
+    x[:2] = [1.0, -1.0][:m]
+    A = basis_matrix(chebyshev_system(), np.arange(N), x)
+    T = ChebyshevTransform(x, N)
+    assert T.shape == (m, N)
+    w, v = rng.normal(size=m), rng.normal(size=N)
+    sparse = np.zeros(N)
+    sparse[rng.choice(N, min(N, 3), replace=False)] = 1.0
+    if complex_data:
+        w = w + 1j * rng.normal(size=m)
+        v = v + 1j * rng.normal(size=N)
+        sparse = sparse * (0.6 - 0.8j)
+    for got, want in ((T.adjoint(w), w @ A), (T.forward(v), A @ v),
+                      (T.forward(sparse), A @ sparse)):
+        assert got.shape == want.shape
+        assert np.iscomplexobj(got) == complex_data
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+def test_chebyshev_transform_validation():
+    with pytest.raises(ValueError):
+        ChebyshevTransform([0.5], 0)
+    with pytest.raises(ValueError):
+        ChebyshevTransform([1.5], 4)

@@ -73,6 +73,10 @@ RATE_CASES = {
     "sobolev_mixed r=0.75": ExperimentConfig(
         sobolev_mixed(0.75, 1), (2, 4, 8), trials_per_n=2, seed_base=12,
         step_ratio=STEP),
+    # one trial of the acceptance suite's Chebyshev p=1/2 sweep (criterion 7)
+    "chebyshev p=1/2 n=8,16": ExperimentConfig(
+        poly_wiener(-0.5, 1.0, 0.5), (8, 16), trials_per_n=1, c_sample=0.07,
+        c_eta=0.1, sparsity="head", feas_tol=1e-6, seed_base=0, step_ratio=STEP),
 }
 
 PHASE_CASES = {
@@ -84,21 +88,27 @@ PHASE_CASES = {
 
 # estimator fits with the default regime (theorem=None) and cut-off (M=None):
 # (estimator parameters, true function's class, its support, system the points
-# are drawn for, point count, seed)
+# are drawn for, point count, seed, factor the samples are multiplied by)
 FIT_CASES = {
     "fit fourier d=2": (
         dict(system="fourier", dim=2, class_kind="wiener_mixed", r=1.0, n=2),
         wiener_mixed(1.0, 2), [(0, 0), (1, -2), (-3, 1), (2, 2)], fourier_system(2),
-        60, 13),
+        60, 13, 1),
     "fit chebyshev": (
         dict(system="chebyshev", class_kind="poly_wiener", alpha=-0.5, r=1.0, p=0.5,
              n=3),
-        poly_wiener(-0.5, 1.0, 0.5), [0, 2, 5, 9], chebyshev_system(), 30, 14),
+        poly_wiener(-0.5, 1.0, 0.5), [0, 2, 5, 9], chebyshev_system(), 30, 14, 1),
+    # a complex multiple of a real function: the solve runs on complex samples
+    "fit chebyshev complex samples": (
+        dict(system="chebyshev", class_kind="poly_wiener", alpha=-0.5, r=1.0, p=0.5,
+             n=3),
+        poly_wiener(-0.5, 1.0, 0.5), [0, 1, 4, 7], chebyshev_system(), 30, 16,
+        0.6 - 0.8j),
     "fit legendre_preconditioned": (
         dict(system="legendre_preconditioned", class_kind="poly_wiener", alpha=0.0,
              r=1.0, p=1.0, n=6),
         poly_wiener(0.0, 1.0, 1.0), [0, 1, 3, 4], legendre_preconditioned_system(),
-        40, 15),
+        40, 15, 1),
 }
 
 RECOVER_BASE = ["recover", "--class-kind", "wiener_mixed", "--r", "1", "--n", "4",
@@ -113,11 +123,12 @@ RECOVER_CASES["recover fourier_grid M=6"] = RECOVER_BASE + [
     "--theorem", "fourier_grid", "--M", "6", "--seed", "11"]
 
 
-def _fit(params: dict, klass, support, point_system, m: int, seed: int) -> str:
+def _fit(params: dict, klass, support, point_system, m: int, seed: int,
+         factor: complex) -> str:
     est = FunctionRecovery(c_eta=1e-3, step_ratio=STEP, **params)
     f = random_unit_function(klass, explicit_index_set(support), seed=seed)
     pts = draw_points(point_system, m, SamplePlan(seed))
-    est.fit(pts, evaluate_function(f, pts))
+    est.fit(pts, factor * evaluate_function(f, pts))
     coefficients = [[z.real, z.imag] for z in np.asarray(est.coefficients_)]
     return (f"theorem {est.config_.theorem} M {est.config_.M}\n"
             f"coefficients {json.dumps(coefficients)}\n"
