@@ -18,11 +18,12 @@ import numpy as np
 class BpdnProblem:
     """Problem data.  ``feas_tol`` defaults to 1e-8 * (1 + ||y||_2).
 
-    ``step_ratio`` skews the primal/dual step sizes (primal step is
-    multiplied by it, dual step divided by it); their product, which is what
-    the convergence condition constrains, is unchanged.  Values below one
-    favour the dual variable, which speeds up runs whose stopping time is
-    dominated by the feasibility certificate.
+    ``step_ratio`` is the inverse of the initial primal weight: the solver
+    starts with the primal step multiplied by it and the dual step divided
+    by it.  Their product tau * sigma, which is what the convergence
+    condition constrains, is fixed for the whole solve; the restarts
+    re-balance the weight from there (see ``solve_bpdn``).  Values below one
+    start in favour of the dual variable.
     """
 
     A: np.ndarray
@@ -159,8 +160,37 @@ def _stalled(x: np.ndarray, x_prev: np.ndarray) -> bool:
             <= 1e-13 * max(1.0, float(np.abs(x).max(initial=0.0))))
 
 
+# Adaptive restarts to the running average (Applegate et al., "Faster
+# first-order primal-dual methods for linear programming using restarts and
+# sharpness", Math. Program. 2023): at a check, restart when the candidate's
+# KKT error is this fraction of its value at the last restart ...
+_RESTART_SUFFICIENT = 0.2
+# ... or this fraction, and has risen since the previous check ...
+_RESTART_NECESSARY = 0.8
+# ... or when the iterations since the restart are this share of all so far.
+_RESTART_ARTIFICIAL = 0.36
+# Primal-weight smoothing at each restart (Applegate et al., "Practical
+# large-scale linear programming using primal-dual hybrid gradient",
+# NeurIPS 2021): log omega moves this share of the way to log(|dw| / |dz|).
+_WEIGHT_SMOOTHING = 0.5
+
+
+def _kkt_error(z: np.ndarray, w: np.ndarray, residual: float, AH_w: np.ndarray,
+               y: np.ndarray, rho: float, omega: float) -> float:
+    """Primal infeasibility, dual infeasibility and duality gap of (z, w).
+
+    The infeasibilities are gradients in w and in z, so they are weighted as
+    the dual of the primal-weighted norm ``omega |z|^2 + |w|^2 / omega``.
+    """
+    primal = max(0.0, residual - rho)
+    dual = max(0.0, float(np.abs(AH_w).max(initial=0.0)) - 1.0)
+    gap = (float(np.abs(z).sum()) + float(np.real(np.vdot(w, y)))
+           + rho * float(np.linalg.norm(w)))
+    return float(np.sqrt(omega * primal * primal + dual * dual / omega + gap * gap))
+
+
 def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
-    """Primal-dual solve with a duality-gap stopping certificate.
+    """Restarted primal-dual solve with a duality-gap stopping certificate.
 
     The problem is positively homogeneous in ``(y, radius)``, so it is first
     rescaled to unit ``||y||_2``; this keeps the fixed soft-threshold step
@@ -169,16 +199,35 @@ def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
     exactly (the tolerance is rescaled along with the data).
 
     Iterates the over-relaxed primal-dual scheme (soft threshold as primal
-    prox, projection-style shrink as dual prox) and certifies the returned
-    point when it is feasible within ``feas_tol`` and either the duality gap
-    is below ``obj_tol * max(1, objective)`` or the iteration has reached a
-    numerically stationary point.  Runs that exhaust ``max_iters`` without a
-    certificate return ``certified=False`` rather than raising.
+    prox, projection-style shrink as dual prox) with steps
+    ``tau = step / omega`` and ``sigma = step * omega``, so ``tau * sigma``
+    stays fixed below ``1 / ||A||^2``.  Every 25th iteration is a check.  It
+    certifies the current point when it is feasible within ``feas_tol`` and
+    either the duality gap is below ``obj_tol * max(1, objective)`` or the
+    iteration has reached a numerically stationary point.  Runs that exhaust
+    ``max_iters`` without a certificate return ``certified=False`` rather
+    than raising.
+
+    A check that does not certify may restart the iteration (Applegate et
+    al., "Faster first-order primal-dual methods for linear programming
+    using restarts and sharpness", Math. Program. 2023).  The candidate is
+    the current point or the average of the iterates since the last
+    restart, whichever has the smaller KKT error (primal infeasibility,
+    dual infeasibility and the gap).  The iteration restarts from it when
+    that error is at most 0.2 times its value at the last restart, or at
+    most 0.8 times and risen since the previous check, or when the
+    iterations since the restart are at least 0.36 of all so far.  Each
+    restart re-balances the primal weight, ``omega <- sqrt(omega * |dw| /
+    |dz|)`` over the moves since the last restart (Applegate et al.,
+    "Practical large-scale linear programming using primal-dual hybrid
+    gradient", NeurIPS 2021); it starts at ``1 / step_ratio``.
 
     A is read in place and never copied.  The iterates are sparse, so the
     forward products (the step and every residual, including the returned
     one) multiply only the columns on the support of z; this is the dense
-    sum without its zero terms.
+    sum without its zero terms.  The average's A^H w is the running sum of
+    the loop's own adjoints, so restarts add one forward product per check
+    and no adjoint.
 
     ``transform`` is an optional fast stand-in for the products with A (an
     object with ``forward(v) = A v`` and ``adjoint(w) = A^H w``, such as
@@ -215,18 +264,24 @@ def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
     if L == 0.0:
         raise ValueError("A is numerically zero and y lies outside the radius")
     step = 0.95 / (1.05 * L)
-    tau = step * problem.step_ratio
-    sigma = step / problem.step_ratio
+    omega = 1.0 / problem.step_ratio
+    tau, sigma = step / omega, step * omega
 
     sigma_y = sigma * y
     z = np.zeros(N, dtype=A.dtype)
-    zbar = z.copy()
+    zbar = z
     w = np.zeros(m, dtype=A.dtype)
-    z_prev_check = z.copy()
-    w_prev_check = w.copy()
+    z_prev_check, w_prev_check = z, w
     gap = np.inf
     # the adjoint between checks; without a transform it is the dense one
     adjoint = _adjoint if transform is None else lambda _, w: transform.adjoint(w)
+    # the last restart point and its KKT error (z = w = 0 leaves only the
+    # primal infeasibility ||y|| - rho = 1 - rho), the candidate's error at
+    # the previous check, and the running sums behind the average since the
+    # restart (A^H w summed over the loop's own adjoints)
+    z_start, w_start, start_it = z, w, 0
+    kkt_start, kkt_prev = np.sqrt(omega) * (1.0 - rho), np.inf
+    z_sum, w_sum, AH_w_sum = np.zeros_like(z), np.zeros_like(w), np.zeros_like(z)
 
     for it in range(1, problem.max_iters + 1):
         check = it % 25 == 0 or it == problem.max_iters
@@ -238,6 +293,9 @@ def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
         z_new = soft_threshold_complex(z - tau * AH_w, tau)
         zbar = 2.0 * z_new - z
         z = z_new
+        z_sum += z
+        w_sum += w
+        AH_w_sum += AH_w
 
         if check:
             residual = float(np.linalg.norm(_forward(A, z) - y))
@@ -248,8 +306,33 @@ def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
                              or (_stalled(z, z_prev_check) and _stalled(w, w_prev_check))):
                 return BpdnSolution(z * scale, residual * scale,
                                     objective * scale, it, True, gap * scale)
-            z_prev_check = z.copy()
-            w_prev_check = w.copy()
+            z_prev_check, w_prev_check = z, w
+            if it == problem.max_iters:
+                break
+            count = it - start_it
+            z_avg, w_avg = z_sum / count, w_sum / count
+            avg_residual = float(np.linalg.norm(_forward(A, z_avg) - y))
+            kkt_avg = _kkt_error(z_avg, w_avg, avg_residual, AH_w_sum / count, y, rho, omega)
+            kkt_cur = _kkt_error(z, w, residual, AH_w, y, rho, omega)
+            kkt = min(kkt_avg, kkt_cur)
+            if (kkt <= _RESTART_SUFFICIENT * kkt_start
+                    or kkt_prev < kkt <= _RESTART_NECESSARY * kkt_start
+                    or count >= _RESTART_ARTIFICIAL * it):
+                if kkt_avg < kkt_cur:
+                    z, w = z_avg, w_avg
+                dz = float(np.linalg.norm(z - z_start))
+                dw = float(np.linalg.norm(w - w_start))
+                if dz > 0.0 and dw > 0.0:
+                    omega *= (dw / dz / omega) ** _WEIGHT_SMOOTHING
+                    tau, sigma = step / omega, step * omega
+                    sigma_y = sigma * y
+                zbar = z
+                z_start, w_start, start_it = z, w, it
+                kkt_start, kkt_prev = kkt, np.inf
+                for total in (z_sum, w_sum, AH_w_sum):
+                    total.fill(0)
+            else:
+                kkt_prev = kkt
 
     residual = float(np.linalg.norm(_forward(A, z) - y))
     objective = float(np.abs(z).sum())

@@ -386,3 +386,25 @@ def test_transform_of_another_shape_is_rejected():
     prob, x = _chebyshev_instance(rng, 20, 61, complex_y=False)
     with pytest.raises(ValueError, match="shape"):
         solve_bpdn(prob, ChebyshevTransform(x, 60))
+
+
+# ---------------------------------------------------------------------------
+# restarts and the primal weight
+
+
+def test_restarts_cut_the_iterations_and_keep_the_solutions():
+    rng = np.random.default_rng(71)
+    orthonormal = [random_orthonormal_instance(rng, N=10, m=16, complex_data=c, obj_tol=1e-9)
+                   for c in (True, False) for _ in range(3)]
+    rng = np.random.default_rng(73)
+    sparse = [_sparse_recovery_instance(rng, m, 120, c)
+              for c in (True, False) for m in (20, 30, 40)]
+    solutions = [solve_bpdn(prob) for prob in orthonormal + sparse]
+    assert all(sol.certified for sol in solutions)
+    for prob, sol in zip(orthonormal, solutions):
+        exact = bpdn_orthonormal_oracle(prob)
+        denom = max(1.0, float(np.linalg.norm(exact.z)))
+        assert np.linalg.norm(sol.z - exact.z) / denom <= 1e-6
+    # without restarts (a fixed primal weight of 1 / step_ratio) this set
+    # takes 1,550 + 24,550 = 26,100 iterations
+    assert sum(sol.iterations for sol in solutions) < 26_100 / 2

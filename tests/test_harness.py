@@ -365,3 +365,16 @@ def test_phase_experiment_two_dimensional_box():
         fourier_system(2), N=9, s=1, m_grid=(27,), trials=3, step_ratio=0.0625
     )
     assert report.rows[0].success_fraction == 1.0
+
+
+def test_chebyshev_n4_trials_that_ran_out_of_iterations_certify():
+    # (seed_base, trial) of criterion 7's p = 1/2 sweep at n = 4 (row 0)
+    # whose solves used up the 50,000-iteration budget without restarts
+    for seed_base, t in ((0, 11), (0, 91), (0, 94), (1, 69), (1, 87)):
+        config = ExperimentConfig(
+            klass=poly_wiener(-0.5, 1.0, 0.5), n_values=(4, 8, 16, 32), trials_per_n=100,
+            c_sample=0.07, c_eta=0.1, sparsity="head", feas_tol=1e-6, step_ratio=0.0625,
+            seed_base=seed_base)
+        rc = harness._recovery_config(config, 4)
+        result = harness._rate_trial(config, rc, harness._trial_seeds(seed_base, 0, t))
+        assert result.certified, (seed_base, t, result.solution.iterations)

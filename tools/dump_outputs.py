@@ -13,12 +13,16 @@ A refactor that claims unchanged results should leave the files identical
 (``cmp``).  A change that reorders floating-point sums may move floats in
 their last digits; ``--compare`` accepts that and nothing else: every token
 that is not a float (text, integers, counts, flags) must match exactly, and
-floats must agree within ``rtol=1e-6, atol=1e-12``.  It prints the largest
-float difference and exits 1 on the first mismatch.
+floats must agree within ``--rtol`` and ``--atol`` (default 1e-6 and 1e-12).
+It prints every mismatch with its section and both values, then the largest
+relative float difference, and exits 1 if there was any mismatch:
+
+    PYTHONPATH=src python tools/dump_outputs.py --compare before.txt after.txt --rtol 1e-4
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -139,47 +143,72 @@ def _section(title: str, text: str) -> None:
     sys.stdout.write(f"== {title}\n{text}")
 
 
-RTOL, ATOL = 1e-6, 1e-12
-
 # a number token; it is a float when it has a decimal point or an exponent
 _NUMBER = re.compile(r"(-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+_SECTION = re.compile(r"^== (.*)\n", re.MULTILINE)
 
 
 def _is_float(token: str) -> bool:
     return any(c in token for c in ".eE")
 
 
-def compare(before: str, after: str) -> int:
-    """Compare two dumps: exact outside floats, floats within RTOL and ATOL."""
-    a_parts, b_parts = _NUMBER.split(before), _NUMBER.split(after)
-    if len(a_parts) != len(b_parts):
-        print(f"token counts differ: {len(a_parts)} vs {len(b_parts)}")
+def _sections(text: str):
+    """The (title, body) pairs of a dump, in order."""
+    parts = _SECTION.split(text)
+    return list(zip(parts[1::2], parts[2::2]))
+
+
+def compare(before: str, after: str, rtol: float = 1e-6, atol: float = 1e-12) -> int:
+    """Compare two dumps: exact outside floats, floats within rtol and atol.
+
+    Prints each mismatch as ``section: key before vs after`` and returns 1 if
+    there was any.
+    """
+    a_sections, b_sections = _sections(before), _sections(after)
+    if len(a_sections) != len(b_sections):
+        print(f"section counts differ: {len(a_sections)} vs {len(b_sections)}")
         return 1
-    floats, worst = 0, 0.0
-    for i, (a, b) in enumerate(zip(a_parts, b_parts)):
-        # split() puts the captured number tokens at the odd positions
-        if i % 2 and _is_float(a) and _is_float(b):
-            x, y = float(a), float(b)
-            floats += 1
-            if abs(x - y) > ATOL + RTOL * abs(x):
-                print(f"part {i} differs: {a} vs {b}")
-                return 1
-            if x != y:
-                worst = max(worst, abs(x - y) / max(abs(x), ATOL))
-        elif a != b:
-            print(f"part {i} differs: {a!r} vs {b!r}")
-            return 1
-    print(f"match: {len(a_parts) // 2} numbers, {floats} floats, "
+    numbers, floats, mismatches, worst = 0, 0, 0, 0.0
+    for (title, a_text), (b_title, b_text) in zip(a_sections, b_sections):
+        if title != b_title:
+            print(f"section titles differ: {title!r} vs {b_title!r}")
+            mismatches += 1
+        a_parts, b_parts = _NUMBER.split(a_text), _NUMBER.split(b_text)
+        if len(a_parts) != len(b_parts):
+            print(f"{title}: token counts differ: {len(a_parts)} vs {len(b_parts)}")
+            mismatches += 1
+            continue
+        numbers += len(a_parts) // 2
+        for i, (a, b) in enumerate(zip(a_parts, b_parts)):
+            # split() puts the captured number tokens at the odd positions;
+            # the text before a number ends with its key
+            key = a_parts[i - 1].rsplit("\n", 1)[-1].strip() if i else ""
+            if i % 2 and _is_float(a) and _is_float(b):
+                x, y = float(a), float(b)
+                floats += 1
+                if x != y:
+                    worst = max(worst, abs(x - y) / max(abs(x), atol))
+                if abs(x - y) > atol + rtol * abs(x):
+                    print(f"{title}: {key} {a} vs {b}")
+                    mismatches += 1
+            elif a != b:
+                print(f"{title}: {key} {a!r} vs {b!r}" if i % 2 else f"{title}: {a!r} vs {b!r}")
+                mismatches += 1
+    verdict = f"{mismatches} mismatches" if mismatches else "match"
+    print(f"{verdict}: {numbers} numbers, {floats} floats, "
           f"largest relative float difference {worst:.3g}")
-    return 0
+    return 1 if mismatches else 0
 
 
 def main() -> int:
-    if sys.argv[1:2] == ["--compare"]:
-        if len(sys.argv) != 4:
-            sys.exit("usage: dump_outputs.py [--compare BEFORE AFTER]")
-        with open(sys.argv[2]) as fa, open(sys.argv[3]) as fb:
-            return compare(fa.read(), fb.read())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
+    parser.add_argument("--rtol", type=float, default=1e-6)
+    parser.add_argument("--atol", type=float, default=1e-12)
+    args = parser.parse_args()
+    if args.compare:
+        with open(args.compare[0]) as fa, open(args.compare[1]) as fb:
+            return compare(fa.read(), fb.read(), args.rtol, args.atol)
     for title, config in RATE_CASES.items():
         report = run_rate_experiment(config)
         _section(title, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
