@@ -26,7 +26,7 @@ class BpdnProblem:
     start in favour of the dual variable.
     """
 
-    A: np.ndarray
+    A: np.ndarray  # or an operator; see solve_bpdn
     y: np.ndarray
     eta: float
     feas_tol: Optional[float] = None
@@ -35,9 +35,11 @@ class BpdnProblem:
     step_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        A = np.asarray(self.A)
+        # an operator (shape, dtype, forward, adjoint) checks its own data
+        operator = not isinstance(self.A, np.ndarray) and hasattr(self.A, "adjoint")
+        A = self.A if operator else np.asarray(self.A)
         y = np.asarray(self.y).reshape(-1)
-        if A.ndim != 2:
+        if len(A.shape) != 2:
             raise ValueError("A must be a 2-d matrix")
         if y.shape[0] != A.shape[0]:
             raise ValueError("y length must match the number of rows of A")
@@ -51,14 +53,12 @@ class BpdnProblem:
             raise ValueError("feas_tol must be positive")
         if not (np.isfinite(self.step_ratio) and self.step_ratio > 0):
             raise ValueError("step_ratio must be a positive finite number")
-        if np.iscomplexobj(A) or np.iscomplexobj(y):
-            A = A.astype(np.complex128, copy=False)
-            y = y.astype(np.complex128, copy=False)
-        else:
-            A = A.astype(np.float64, copy=False)
-            y = y.astype(np.float64, copy=False)
-        if not _all_finite(A):
-            raise ValueError("A must be finite")
+        complex_data = np.iscomplexobj(A) or np.iscomplexobj(y)
+        y = y.astype(np.complex128 if complex_data else np.float64, copy=False)
+        if not operator:
+            A = A.astype(y.dtype, copy=False)
+            if not _all_finite(A):
+                raise ValueError("A must be finite")
         if not _all_finite(y):
             raise ValueError("y must be finite")
         self.A = A
@@ -101,39 +101,51 @@ def soft_threshold_complex(v: np.ndarray, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError("threshold must be >= 0")
     v = np.asarray(v)
-    a = np.abs(v)
-    # the mask keeps the division exact on the selected branch and the
-    # clamp stops 1 - t/a from rounding to a tiny negative (phase flip)
-    scale = np.where(a > t, np.maximum(1.0 - t / np.where(a > t, a, 1.0), 0.0), 0.0)
-    return v * scale
+    if t == 0:
+        return v.copy()
+    # moduli at or below t give 1 - t/t = 0; above it t/|v| <= 1 rounds to
+    # at most 1, so the factor is never negative (no phase flip)
+    return v * (1.0 - t / np.maximum(np.abs(v), t))
 
 
-def _forward(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x over the support of x: the same sum with its zero terms left out."""
+def _forward(A, x: np.ndarray) -> np.ndarray:
+    """A @ x over the support of x: the same sum with its zero terms left out.
+
+    An operator computes it with its own ``forward``; a full support reads
+    the matrix in place.
+    """
+    if not isinstance(A, np.ndarray):
+        return A.forward(x)
     s = x.nonzero()[0]
+    if s.size == x.size:
+        return A @ x
     return A.take(s, axis=1) @ x[s]
 
 
-def _adjoint(A: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The exact dense product A^H w, reading A in place (no transposed copy)."""
+def _adjoint(A, w: np.ndarray) -> np.ndarray:
+    """The exact product A^H w: an operator's ``adjoint``, or the dense
+    product reading A in place (no transposed copy)."""
+    if not isinstance(A, np.ndarray):
+        return A.adjoint(w)
     if A.dtype.kind != "c":
         return w @ A
     g = w.conj() @ A
     return np.conjugate(g, out=g)
 
 
-def _operator_norm(A: np.ndarray, transform=None, iters: int = 60) -> float:
+def _operator_norm(A, dtype: np.dtype, transform=None, iters: int = 60) -> float:
     """Power-method estimate of the spectral norm, deterministic start.
 
-    With a transform, its fast products stand in for the dense ones.
+    The start is complex when ``dtype`` is.  With a transform, its fast
+    products stand in for the exact ones.
     """
     if transform is None:
-        forward, adjoint = functools.partial(np.matmul, A), functools.partial(_adjoint, A)
+        forward, adjoint = functools.partial(_forward, A), functools.partial(_adjoint, A)
     else:
         forward, adjoint = transform.forward, transform.adjoint
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(A.shape[1])
-    if np.iscomplexobj(A):
+    if dtype.kind == "c":
         v = v + 1j * rng.standard_normal(A.shape[1])
     nv = np.linalg.norm(v)
     if nv == 0:
@@ -222,23 +234,27 @@ def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
     "Practical large-scale linear programming using primal-dual hybrid
     gradient", NeurIPS 2021); it starts at ``1 / step_ratio``.
 
-    A is read in place and never copied.  The iterates are sparse, so the
-    forward products (the step and every residual, including the returned
-    one) multiply only the columns on the support of z; this is the dense
-    sum without its zero terms.  The average's A^H w is the running sum of
-    the loop's own adjoints, so restarts add one forward product per check
-    and no adjoint.
+    ``problem.A`` is a dense matrix or an operator: an object with
+    ``shape``, ``dtype``, ``forward(x) = A x`` and ``adjoint(w) = A^H w``,
+    both exact up to rounding, such as ``systems.ChebyshevMatrix``.  A real
+    operator takes complex data as its real and imaginary parts.  A is read
+    in place and never copied.  The iterates are sparse, so the forward
+    products (the step and every residual, including the returned one)
+    multiply only the columns on the support of z; this is the dense sum
+    without its zero terms.  The average's A^H w is the running sum of the
+    loop's own adjoints, so restarts add one forward product per check and
+    no adjoint.
 
     ``transform`` is an optional fast stand-in for the products with A (an
     object with ``forward(v) = A v`` and ``adjoint(w) = A^H w``, such as
     ``systems.ChebyshevTransform``).  It serves the norm estimate and the
     adjoint of every iteration but the checks (every 25th and the last).
-    Those use the exact dense A^H w, so the gap, the stall test, the
-    residual and the returned point behind a certificate rest on exact
-    products.
+    Those use the exact A^H w, so the gap, the stall test, the residual and
+    the returned point behind a certificate rest on exact products.
     """
     A, y, rho = problem.A, problem.y, problem.radius
     m, N = A.shape
+    dtype = np.result_type(A.dtype, y.dtype)
     if transform is not None and tuple(transform.shape) != (m, N):
         raise ValueError("the transform's shape does not match A")
     obj_tol = problem.obj_tol
@@ -247,7 +263,7 @@ def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
     if y_norm <= rho:
         # z = 0 is feasible and no objective can beat ||0||_1
         return BpdnSolution(
-            z=np.zeros(N, dtype=A.dtype),
+            z=np.zeros(N, dtype=dtype),
             residual_norm=y_norm,
             objective=0.0,
             iterations=0,
@@ -260,7 +276,7 @@ def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
     rho = rho / scale
     feas_tol = problem.effective_feas_tol / scale
 
-    L = _operator_norm(A, transform)
+    L = _operator_norm(A, dtype, transform)
     if L == 0.0:
         raise ValueError("A is numerically zero and y lies outside the radius")
     step = 0.95 / (1.05 * L)
@@ -268,12 +284,12 @@ def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
     tau, sigma = step / omega, step * omega
 
     sigma_y = sigma * y
-    z = np.zeros(N, dtype=A.dtype)
+    z = np.zeros(N, dtype=dtype)
     zbar = z
-    w = np.zeros(m, dtype=A.dtype)
+    w = np.zeros(m, dtype=dtype)
     z_prev_check, w_prev_check = z, w
     gap = np.inf
-    # the adjoint between checks; without a transform it is the dense one
+    # the adjoint between checks; without a transform it is the exact one
     adjoint = _adjoint if transform is None else lambda _, w: transform.adjoint(w)
     # the last restart point and its KKT error (z = w = 0 leaves only the
     # primal infeasibility ||y|| - rho = 1 - rho), the candidate's error at

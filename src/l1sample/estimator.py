@@ -41,8 +41,6 @@ def check_sample_points(X, system: System) -> np.ndarray:
     pts = _point_array(system, X)
     if pts.size == 0:
         raise ValueError("need at least one sample point")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("sample points must be finite")
     return pts
 
 

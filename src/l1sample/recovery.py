@@ -39,6 +39,7 @@ from .systems import (
     LEGENDRE_PRECONDITIONED,
     LEGENDRE_RAW,
     SEARCH_BOX,
+    ChebyshevMatrix,
     ChebyshevTransform,
     IndexSet,
     SamplePlan,
@@ -246,6 +247,8 @@ def recover(
     y = np.asarray(f_samples).reshape(-1)
     pts = _point_array(config.system, points)
     m = pts.shape[0]
+    if m == 0:
+        raise ValueError("need at least one sample point")
     if y.shape[0] != m:
         raise ValueError("sample count does not match the number of points")
 
@@ -259,7 +262,14 @@ def recover(
                                   np.abs(y.imag).max(initial=0.0) == 0.0):
         y = y.real.astype(np.float64)
 
-    A = build_matrix(config, pts)
+    if config.system.kind == CHEBYSHEV:
+        # exact products from small tables, without the m x N matrix; the
+        # fast transform serves the norm estimate and the adjoints between
+        # the solver's checks
+        N = len(search_set(config))
+        A, transform = ChebyshevMatrix(pts, N), ChebyshevTransform(pts, N)
+    else:
+        A, transform = build_matrix(config, pts), None
     eta = choose_eta(config)
     problem = BpdnProblem(
         A, y, eta,
@@ -268,8 +278,6 @@ def recover(
         max_iters=config.max_iters,
         step_ratio=config.step_ratio,
     )
-    # Chebyshev iterations run on fast products; the certificate stays dense
-    transform = ChebyshevTransform(pts, A.shape[1]) if config.system.kind == CHEBYSHEV else None
     solution = solve_bpdn(problem, transform)
 
     support = solution.z.nonzero()[0]

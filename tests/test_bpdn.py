@@ -16,7 +16,7 @@ from l1sample.bpdn import (
     soft_threshold_complex,
     solve_bpdn,
 )
-from l1sample.systems import ChebyshevTransform, basis_matrix, chebyshev_system
+from l1sample.systems import ChebyshevMatrix, ChebyshevTransform, basis_matrix, chebyshev_system
 
 
 def random_orthonormal_instance(rng, N=8, m=12, complex_data=True, obj_tol=1e-7):
@@ -379,6 +379,24 @@ def test_transform_solve_matches_the_dense_solve(monkeypatch, m, N, complex_y, m
     assert np.linalg.norm(fast.z - dense.z) <= 1e-9 * np.linalg.norm(dense.z)
     recomputed = np.linalg.norm(prob.A @ fast.z - prob.y)
     assert abs(fast.residual_norm - recomputed) <= 1e-12 * recomputed
+
+
+@pytest.mark.parametrize("complex_y", [False, True])
+def test_operator_solve_matches_the_dense_solve(complex_y):
+    m, N = 40, 121
+    rng = np.random.default_rng(79 + complex_y)
+    prob, x = _chebyshev_instance(rng, m, N, complex_y)
+    operator = BpdnProblem(ChebyshevMatrix(x, N), prob.y, prob.eta, feas_tol=prob.feas_tol,
+                           step_ratio=prob.step_ratio)
+    assert operator.A.dtype == np.float64 and operator.y.dtype == prob.y.dtype
+    dense = solve_bpdn(prob, ChebyshevTransform(x, N))
+    matrix_free = solve_bpdn(operator, ChebyshevTransform(x, N))
+    assert dense.certified and matrix_free.certified
+    assert matrix_free.iterations == dense.iterations
+    assert matrix_free.z.dtype == dense.z.dtype
+    assert np.linalg.norm(matrix_free.z - dense.z) <= 1e-9 * np.linalg.norm(dense.z)
+    recomputed = np.linalg.norm(prob.A @ matrix_free.z - prob.y)
+    assert abs(matrix_free.residual_norm - recomputed) <= 1e-12 * recomputed
 
 
 def test_transform_of_another_shape_is_rejected():

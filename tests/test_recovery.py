@@ -1,5 +1,7 @@
 """Tests for the end-to-end sample-to-expansion recovery pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,26 @@ def test_noise_perturbation_moves_error_by_at_most_2_eta():
     result = recover(y + e, cfg, pts, f_true=f_true)
     assert result.certified
     assert result.l2_err <= 2.0 * eta + 1e-6
+
+
+def test_chebyshev_recovery_allocates_well_under_one_matrix():
+    # the Chebyshev products come from small tables and a fast transform;
+    # no m x N matrix is built
+    cfg = RecoveryConfig(chebyshev_system(), CHEBYSHEV_REGIME, n=4, M=1365,
+                         eta_override=1e-3, feas_tol=1e-6, step_ratio=0.0625)
+    m, N = 400, len(search_set(cfg))
+    f_true = CoefficientExpansion(chebyshev_system(), {1: 1.0, 7: -0.5, 40: 0.25})
+    pts = draw_points(chebyshev_system(), m, SamplePlan(seed=5))
+    y = evaluate_function(f_true, pts).real
+    tracemalloc.start()
+    try:
+        result = recover(y, cfg, pts, f_true=f_true)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.certified
+    assert result.l2_err <= 1e-2
+    assert peak < 8 * m * N / 4
 
 
 def test_legendre_path_returns_raw_expansion():

@@ -20,7 +20,7 @@ from l1sample import (
     uniform_bound,
 )
 
-from l1sample.systems import ChebyshevTransform
+from l1sample.systems import _BLOCK, ChebyshevMatrix, ChebyshevTransform
 
 from util import arcsine_cdf, chebyshev_value, ks_statistic, legendre_value, uniform_cdf
 
@@ -316,7 +316,51 @@ def test_chebyshev_transform_matches_the_dense_products(m, N, complex_data):
 
 
 def test_chebyshev_transform_validation():
-    with pytest.raises(ValueError):
-        ChebyshevTransform([0.5], 0)
-    with pytest.raises(ValueError):
-        ChebyshevTransform([1.5], 4)
+    for make in (ChebyshevTransform, ChebyshevMatrix):
+        with pytest.raises(ValueError):
+            make([0.5], 0)
+        with pytest.raises(ValueError):
+            make([1.5], 4)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                make([0.1, bad], 8)
+
+
+@pytest.mark.parametrize("system, indices, points", [
+    (chebyshev_system(), [1], [0.1, np.nan]),
+    (legendre_raw_system(), [1], [0.1, np.inf]),
+    (fourier_system(2), [(0, 1)], [[0.1, np.nan]]),
+])
+def test_non_finite_points_are_rejected(system, indices, points):
+    with pytest.raises(ValueError, match="finite"):
+        basis_matrix(system, indices, points)
+
+
+# (m, N): the transform's cases, a single block (N < B) and whole blocks
+# (N a multiple of B)
+@pytest.mark.parametrize("m, N", [(1, 1), (3, 2), (6, 97), (50, 300), (1616, 17377),
+                                  (20, _BLOCK - 1), (30, 3 * _BLOCK)])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_chebyshev_matrix_matches_the_dense_products(m, N, complex_data):
+    rng = np.random.default_rng(m + N + 1)
+    x = np.cos(np.pi * rng.random(m))
+    x[:2] = [1.0, -1.0][:m]
+    A = basis_matrix(chebyshev_system(), np.arange(N), x)
+    op = ChebyshevMatrix(x, N)
+    assert op.shape == (m, N) and op.dtype == np.float64
+    w = rng.normal(size=m)
+    empty, sparse, full = np.zeros(N), np.zeros(N), rng.normal(size=N)
+    sparse[rng.choice(N, min(N, 5), replace=False)] = rng.normal(size=min(N, 5))
+    ones = np.where(rng.random(N) < 0.5, -1.0, 1.0)
+    if complex_data:
+        w = w + 1j * rng.normal(size=m)
+        sparse = sparse * (0.6 - 0.8j)
+        full = full + 1j * rng.normal(size=N)
+        ones = ones * 1j
+    cases = [(op.adjoint(w), w @ A)]
+    for v in (empty, sparse, full, ones):
+        cases += [(op.forward(v), A @ v), (op @ v, A @ v)]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert np.iscomplexobj(got) == (complex_data and np.iscomplexobj(want))
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
