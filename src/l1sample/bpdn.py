@@ -7,7 +7,6 @@ additionally get a closed-form solution used as an oracle in tests.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +25,7 @@ class BpdnProblem:
     start in favour of the dual variable.
     """
 
-    A: np.ndarray  # or an operator; see solve_bpdn
+    A: np.ndarray  # or an operator, perhaps with a fast stand-in; see solve_bpdn
     y: np.ndarray
     eta: float
     feas_tol: Optional[float] = None
@@ -133,16 +132,11 @@ def _adjoint(A, w: np.ndarray) -> np.ndarray:
     return np.conjugate(g, out=g)
 
 
-def _operator_norm(A, dtype: np.dtype, transform=None, iters: int = 60) -> float:
+def _operator_norm(A, dtype: np.dtype, iters: int = 60) -> float:
     """Power-method estimate of the spectral norm, deterministic start.
 
-    The start is complex when ``dtype`` is.  With a transform, its fast
-    products stand in for the exact ones.
+    The start is complex when ``dtype`` is.
     """
-    if transform is None:
-        forward, adjoint = functools.partial(_forward, A), functools.partial(_adjoint, A)
-    else:
-        forward, adjoint = transform.forward, transform.adjoint
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(A.shape[1])
     if dtype.kind == "c":
@@ -152,12 +146,12 @@ def _operator_norm(A, dtype: np.dtype, transform=None, iters: int = 60) -> float
         return 0.0
     v = v / nv
     for _ in range(iters):
-        w = adjoint(forward(v))
+        w = _adjoint(A, _forward(A, v))
         nw = np.linalg.norm(w)
         if nw == 0:
             return 0.0
         v = w / nw
-    return float(np.linalg.norm(forward(v)))
+    return float(np.linalg.norm(_forward(A, v)))
 
 
 def _dual_objective(w: np.ndarray, AH_w: np.ndarray, y: np.ndarray, rho: float) -> float:
@@ -201,7 +195,7 @@ def _kkt_error(z: np.ndarray, w: np.ndarray, residual: float, AH_w: np.ndarray,
     return float(np.sqrt(omega * primal * primal + dual * dual / omega + gap * gap))
 
 
-def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
+def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
     """Restarted primal-dual solve with a duality-gap stopping certificate.
 
     The problem is positively homogeneous in ``(y, radius)``, so it is first
@@ -245,18 +239,18 @@ def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
     loop's own adjoints, so restarts add one forward product per check and
     no adjoint.
 
-    ``transform`` is an optional fast stand-in for the products with A (an
-    object with ``forward(v) = A v`` and ``adjoint(w) = A^H w``, such as
-    ``systems.ChebyshevTransform``).  It serves the norm estimate and the
-    adjoint of every iteration but the checks (every 25th and the last).
-    Those use the exact A^H w, so the gap, the stall test, the residual and
-    the returned point behind a certificate rest on exact products.
+    An operator may carry a fast stand-in for its products as ``A.fast``
+    (the same interface, with products accurate to a known tolerance rather
+    than to rounding); ``ChebyshevMatrix`` carries its nonuniform FFT.  The
+    stand-in serves the norm estimate and the adjoint of every iteration
+    but the checks (every 25th and the last).  Those use the exact A^H w, so
+    the gap, the stall test, the residual and the returned point behind a
+    certificate rest on exact products.  A dense matrix is its own stand-in.
     """
     A, y, rho = problem.A, problem.y, problem.radius
+    fast = getattr(A, "fast", A)
     m, N = A.shape
     dtype = np.result_type(A.dtype, y.dtype)
-    if transform is not None and tuple(transform.shape) != (m, N):
-        raise ValueError("the transform's shape does not match A")
     obj_tol = problem.obj_tol
 
     y_norm = float(np.linalg.norm(y))
@@ -276,7 +270,7 @@ def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
     rho = rho / scale
     feas_tol = problem.effective_feas_tol / scale
 
-    L = _operator_norm(A, dtype, transform)
+    L = _operator_norm(fast, dtype)
     if L == 0.0:
         raise ValueError("A is numerically zero and y lies outside the radius")
     step = 0.95 / (1.05 * L)
@@ -289,8 +283,6 @@ def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
     w = np.zeros(m, dtype=dtype)
     z_prev_check, w_prev_check = z, w
     gap = np.inf
-    # the adjoint between checks; without a transform it is the exact one
-    adjoint = _adjoint if transform is None else lambda _, w: transform.adjoint(w)
     # the last restart point and its KKT error (z = w = 0 leaves only the
     # primal infeasibility ||y|| - rho = 1 - rho), the candidate's error at
     # the previous check, and the running sums behind the average since the
@@ -305,7 +297,7 @@ def solve_bpdn(problem: BpdnProblem, transform=None) -> BpdnSolution:
         nv = float(np.linalg.norm(v))
         shrink = max(0.0, 1.0 - sigma * rho / nv) if nv > 0 else 0.0
         w = v * shrink
-        AH_w = _adjoint(A, w) if check else adjoint(A, w)
+        AH_w = _adjoint(A if check else fast, w)
         z_new = soft_threshold_complex(z - tau * AH_w, tau)
         zbar = 2.0 * z_new - z
         z = z_new

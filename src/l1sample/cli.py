@@ -32,6 +32,7 @@ from .harness import (
     _rate_trial,
     _recovery_config,
     _trial_seeds,
+    check_report_format,
     emit_report,
     run_phase_experiment,
     run_rate_experiment,
@@ -157,6 +158,8 @@ def _merge(args, section: str, config: Optional[configparser.ConfigParser]) -> d
     if strict is None and config is not None and config.has_option(section, "strict"):
         strict = config.getboolean(section, "strict")
     merged["strict"] = bool(strict)
+    if "format" in merged:  # before any trial runs
+        check_report_format(merged["format"])
     return merged
 
 
@@ -284,7 +287,7 @@ def main(argv=None) -> int:
         config = _load_config(args.config) if args.config else None
         opts = _merge(args, args.command, config)
         return _HANDLERS[args.command](opts)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"l1sample: error: {exc}", file=sys.stderr)
         return 2
 

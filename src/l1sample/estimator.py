@@ -168,7 +168,9 @@ class FunctionRecovery:
         self.result_ = result
         self.expansion_ = result.expansion
         self.index_set_ = search_set(config)
-        self.coefficients_ = result.expansion.vector(self.index_set_)
+        # indexed like the search set; where() drops the signed zeros
+        z = result.solution.z
+        self.coefficients_ = np.where(z != 0, z, 0).astype(np.complex128)
         self.n_features_in_ = pts.shape[1] if pts.ndim == 2 else 1
         return self
 

@@ -432,11 +432,17 @@ def _csv_float(x: float) -> str:
     return "%.17g" % x
 
 
-def emit_report(report: RateReport, fmt: str, path: Union[str, TextIO]) -> None:
-    """Write a report as CSV (fixed header, 17 significant digits) or JSON."""
+def check_report_format(fmt: str) -> str:
+    """The report format in lower case; ValueError unless it is CSV or JSON."""
     kind = fmt.lower()
     if kind not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
+    return kind
+
+
+def emit_report(report: RateReport, fmt: str, path: Union[str, TextIO]) -> None:
+    """Write a report as CSV (fixed header, 17 significant digits) or JSON."""
+    kind = check_report_format(fmt)
     if kind == "csv":
         lines = [CSV_HEADER]
         for row in report.rows:

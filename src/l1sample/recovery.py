@@ -40,7 +40,6 @@ from .systems import (
     LEGENDRE_RAW,
     SEARCH_BOX,
     ChebyshevMatrix,
-    ChebyshevTransform,
     IndexSet,
     SamplePlan,
     System,
@@ -264,12 +263,10 @@ def recover(
 
     if config.system.kind == CHEBYSHEV:
         # exact products from small tables, without the m x N matrix; the
-        # fast transform serves the norm estimate and the adjoints between
-        # the solver's checks
-        N = len(search_set(config))
-        A, transform = ChebyshevMatrix(pts, N), ChebyshevTransform(pts, N)
+        # solver takes its fast transform for the products between checks
+        A = ChebyshevMatrix(pts, len(search_set(config)))
     else:
-        A, transform = build_matrix(config, pts), None
+        A = build_matrix(config, pts)
     eta = choose_eta(config)
     problem = BpdnProblem(
         A, y, eta,
@@ -278,7 +275,7 @@ def recover(
         max_iters=config.max_iters,
         step_ratio=config.step_ratio,
     )
-    solution = solve_bpdn(problem, transform)
+    solution = solve_bpdn(problem)
 
     support = solution.z.nonzero()[0]
     keys = search_set(config).indices()[support]

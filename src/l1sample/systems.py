@@ -345,12 +345,11 @@ class ChebyshevTransform:
     centred on the grid by the phase exp(-i K0 theta), K0 = N // 2, so that
     no degree lies near the grid's Nyquist frequency.  Inputs may be real or
     complex; complex ones are transformed as real and imaginary parts.
+    Built by ``ChebyshevMatrix``, as its ``fast``, from the angles theta.
     """
 
-    def __init__(self, points, N: int) -> None:
-        if N < 1:
-            raise ValueError("the transform needs at least one degree")
-        theta = np.arccos(_point_array(chebyshev_system(), points))
+    def __init__(self, theta: np.ndarray, N: int) -> None:
+        self.shape = (theta.shape[0], N)
         w = _KERNEL_WIDTH
         n = _smooth_length(max(2 * N, 2 * w))
         shift = N // 2
@@ -372,10 +371,6 @@ class ChebyshevTransform:
         self._scale = np.divide(2.0 / w, psi_hat, out=psi_hat)
         self._scale[1:] *= np.sqrt(2.0)
         self._grid_size = n
-
-    @property
-    def shape(self) -> tuple:
-        return self._table.shape[0], self._scale.shape[0]
 
     # Degree k sits at grid index k - K0 modulo the grid size: degrees
     # 0..K0-1 at the grid's end, K0..N-1 at its start.  Both products work
@@ -460,8 +455,10 @@ class ChebyshevMatrix:
     and both products are the dense sums regrouped, exact up to rounding.
     Complex input runs as its real and imaginary parts.
 
-    ``A @ z`` evaluates the columns on the support of z by direct cosines
-    (``basis_matrix``), independently of the tables.
+    ``fast`` is the fast stand-in: the ``ChebyshevTransform`` of the same
+    points, accurate to about 1e-12 relative.  ``A @ z`` evaluates the
+    columns on the support of z by direct cosines (``basis_matrix``),
+    independently of the tables and the transform.
     """
 
     dtype = np.dtype(np.float64)
@@ -478,10 +475,12 @@ class ChebyshevMatrix:
         self._scale = np.full(N, np.sqrt(2.0))
         self._scale[0] = 1.0
         self.shape = (m, N)
+        self.fast = ChebyshevTransform(theta, N)
 
     @property
     def nbytes(self) -> int:
-        return self._outer.nbytes + self._inner.nbytes + self._scale.nbytes
+        arrays = [*vars(self).values(), *vars(self.fast).values()]  # the transform's too
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """A^T w (equal to A^H w, A being real): one product of the tables.

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1sample import bpdn
 from l1sample.bpdn import (
     BpdnProblem,
     _adjoint,
@@ -16,7 +15,7 @@ from l1sample.bpdn import (
     soft_threshold_complex,
     solve_bpdn,
 )
-from l1sample.systems import ChebyshevMatrix, ChebyshevTransform, basis_matrix, chebyshev_system
+from l1sample.systems import ChebyshevMatrix, basis_matrix, chebyshev_system
 
 
 def random_orthonormal_instance(rng, N=8, m=12, complex_data=True, obj_tol=1e-7):
@@ -360,22 +359,27 @@ def _chebyshev_instance(rng, m, N, complex_y, max_iters=50_000):
     (40, 121, True, 50_000),
     (40, 121, False, 60),  # stops uncertified at the iteration budget
 ])
-def test_transform_solve_matches_the_dense_solve(monkeypatch, m, N, complex_y, max_iters):
+def test_transform_solve_matches_the_dense_solve(m, N, complex_y, max_iters):
     rng = np.random.default_rng(61 + m + N + complex_y)
     prob, x = _chebyshev_instance(rng, m, N, complex_y, max_iters)
     assert np.iscomplexobj(prob.A) == complex_y
     dense = solve_bpdn(prob)
-    transform = _CountingTransform(ChebyshevTransform(x, N))
-    exact_adjoints = []
-    monkeypatch.setattr(bpdn, "_adjoint", lambda A, w: exact_adjoints.append(1) or _adjoint(A, w))
-    fast = solve_bpdn(prob, transform)
+    op = ChebyshevMatrix(x, N)
+    operator = BpdnProblem(op, prob.y, prob.eta, feas_tol=prob.feas_tol,
+                           step_ratio=prob.step_ratio, max_iters=max_iters)
+    assert operator.A.dtype == np.float64 and operator.y.dtype == prob.y.dtype
+    exact_adjoints, adjoint = [], op.adjoint
+    op.adjoint = lambda w: exact_adjoints.append(1) or adjoint(w)
+    op.fast = transform = _CountingTransform(op.fast)
+    fast = solve_bpdn(operator)
     assert (fast.iterations, fast.certified) == (dense.iterations, dense.certified)
-    # the dense adjoint serves exactly the check iterations, the transform
+    # the exact adjoint serves exactly the check iterations, the transform
     # the other iterations and the 60-step power method (121 products)
     checks = sum(1 for it in range(1, fast.iterations + 1) if it % 25 == 0 or it == max_iters)
     assert len(exact_adjoints) == checks
     assert transform.calls == 121 + fast.iterations - checks
     assert fast.certified == (max_iters == 50_000)
+    assert fast.z.dtype == dense.z.dtype
     assert np.linalg.norm(fast.z - dense.z) <= 1e-9 * np.linalg.norm(dense.z)
     recomputed = np.linalg.norm(prob.A @ fast.z - prob.y)
     assert abs(fast.residual_norm - recomputed) <= 1e-12 * recomputed
@@ -389,21 +393,14 @@ def test_operator_solve_matches_the_dense_solve(complex_y):
     operator = BpdnProblem(ChebyshevMatrix(x, N), prob.y, prob.eta, feas_tol=prob.feas_tol,
                            step_ratio=prob.step_ratio)
     assert operator.A.dtype == np.float64 and operator.y.dtype == prob.y.dtype
-    dense = solve_bpdn(prob, ChebyshevTransform(x, N))
-    matrix_free = solve_bpdn(operator, ChebyshevTransform(x, N))
+    dense = solve_bpdn(prob)
+    matrix_free = solve_bpdn(operator)
     assert dense.certified and matrix_free.certified
     assert matrix_free.iterations == dense.iterations
     assert matrix_free.z.dtype == dense.z.dtype
     assert np.linalg.norm(matrix_free.z - dense.z) <= 1e-9 * np.linalg.norm(dense.z)
     recomputed = np.linalg.norm(prob.A @ matrix_free.z - prob.y)
     assert abs(matrix_free.residual_norm - recomputed) <= 1e-12 * recomputed
-
-
-def test_transform_of_another_shape_is_rejected():
-    rng = np.random.default_rng(67)
-    prob, x = _chebyshev_instance(rng, 20, 61, complex_y=False)
-    with pytest.raises(ValueError, match="shape"):
-        solve_bpdn(prob, ChebyshevTransform(x, 60))
 
 
 # ---------------------------------------------------------------------------

@@ -247,10 +247,29 @@ def test_rates_json_to_file(tmp_path, capsys):
     assert report.predicted_n is not None
 
 
-def test_rates_bad_format_exits_2(capsys):
-    code, _out, err = run_cli(TINY_RATES + ["--format", "xml"], capsys)
+TINY_PHASE = ["phase", "--N", "9", "--s", "1", "--m-grid", "27", "--trials", "2"]
+
+
+def test_rates_bad_format_exits_2(tmp_path, monkeypatch, capsys):
+    # the format, from a flag or the config file, is checked before any trial runs
+    for name in ("run_rate_experiment", "run_phase_experiment"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a trial ran"))
+    config = tmp_path / "phase.ini"
+    config.write_text("[phase]\nformat = yaml\n")
+    for argv in (TINY_RATES + ["--format", "xml"], TINY_PHASE + ["--format", "xml"],
+                 TINY_PHASE + ["--config", str(config)]):
+        code, _out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("l1sample: error:") and "format" in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "out.csv"
+    code, out, err = run_cli(TINY_PHASE + ["--output", str(target)], capsys)
     assert code == 2
-    assert "format" in err
+    assert out == ""
+    assert err.startswith("l1sample: error:") and str(target) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_phase_json_report(capsys):
