@@ -33,7 +33,7 @@ from .harness import (
     _recovery_config,
     _trial_seeds,
     check_report_format,
-    emit_report,
+    report_text,
     run_phase_experiment,
     run_rate_experiment,
 )
@@ -158,35 +158,31 @@ def _merge(args, section: str, config: Optional[configparser.ConfigParser]) -> d
     if strict is None and config is not None and config.has_option(section, "strict"):
         strict = config.getboolean(section, "strict")
     merged["strict"] = bool(strict)
-    if "format" in merged:  # before any trial runs
+    if "format" in merged:  # both checks come before any trial runs
         check_report_format(merged["format"])
+    merged["output"] = _output_path(merged["output"])
     return merged
 
 
-def _resolve_output(path: Optional[str]) -> Optional[str]:
+def _output_path(path: Optional[str]) -> Optional[str]:
+    """``path`` under ``L1SAMPLE_OUTPUT_DIR``; ValueError unless it can be written."""
     if path is None:
         return None
-    if os.path.isabs(path):
-        return path
     base = os.environ.get(ENV_OUTPUT_DIR)
-    return os.path.join(base, path) if base else path
+    if base:
+        path = os.path.join(base, path)  # an absolute path drops the base
+    directory = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path) or not os.access(directory, os.W_OK):
+        raise ValueError(f"cannot write output {path}: not a file in a writable directory")
+    return path
 
 
 def _write_text(text: str, path: Optional[str]) -> None:
-    resolved = _resolve_output(path)
-    if resolved is None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        with open(resolved, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _emit(report, fmt: str, path: Optional[str]) -> None:
-    resolved = _resolve_output(path)
-    if resolved is None:
-        emit_report(report, fmt, sys.stdout)
-    else:
-        emit_report(report, fmt, resolved)
 
 
 def _experiment_config(opts: dict, n_values, **fields) -> ExperimentConfig:
@@ -219,7 +215,7 @@ def _cmd_rates(opts: dict) -> int:
     config = _experiment_config(opts, tuple(opts["n_values"]), trials_per_n=opts["trials"],
                                 sparsity=opts["sparsity_mode"])
     report = run_rate_experiment(config)
-    _emit(report, opts["format"], opts["output"])
+    _write_text(report_text(report, opts["format"]), opts["output"])
     if opts["strict"] and report.uncertified_trials:
         return 2
     return 0
@@ -235,7 +231,7 @@ def _cmd_phase(opts: dict) -> int:
         seed=opts["seed"],
         step_ratio=opts["step_ratio"],
     )
-    _emit(report, opts["format"], opts["output"])
+    _write_text(report_text(report, opts["format"]), opts["output"])
     if opts["strict"] and report.uncertified_trials:
         return 2
     return 0

@@ -440,8 +440,8 @@ def check_report_format(fmt: str) -> str:
     return kind
 
 
-def emit_report(report: RateReport, fmt: str, path: Union[str, TextIO]) -> None:
-    """Write a report as CSV (fixed header, 17 significant digits) or JSON."""
+def report_text(report: RateReport, fmt: str) -> str:
+    """A report as CSV (fixed header, 17 significant digits) or JSON text."""
     kind = check_report_format(fmt)
     if kind == "csv":
         lines = [CSV_HEADER]
@@ -454,9 +454,13 @@ def emit_report(report: RateReport, fmt: str, path: Union[str, TextIO]) -> None:
                 _csv_float(row.q75),
                 _csv_float(row.success_fraction),
             ]))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(report.to_json(), indent=2) + "\n"
+        return "\n".join(lines) + "\n"
+    return json.dumps(report.to_json(), indent=2) + "\n"
+
+
+def emit_report(report: RateReport, fmt: str, path: Union[str, TextIO]) -> None:
+    """Write ``report_text(report, fmt)`` to a path or an open text stream."""
+    text = report_text(report, fmt)
     if hasattr(path, "write"):
         path.write(text)
     else:

@@ -43,6 +43,7 @@ from .systems import (
     IndexSet,
     SamplePlan,
     System,
+    _legendre_weight,
     _normalize_index,
     _point_array,
     basis_matrix,
@@ -223,10 +224,6 @@ class RecoveryResult:
             "l2_error": self.l2_err,
             "expansion": self.expansion.to_json(),
         }
-
-
-def _legendre_weight(points: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.pi) * (1.0 - points**2) ** 0.25
 
 
 def recover(

@@ -281,6 +281,16 @@ def _clamp_unit_modulus(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _chebyshev_scale(degrees: np.ndarray) -> np.ndarray:
+    """The normalization c_k of sqrt(2) cos(k arccos x): 1 at degree 0, else sqrt(2)."""
+    return np.where(degrees == 0, 1.0, np.sqrt(2.0))
+
+
+def _legendre_weight(points: np.ndarray) -> np.ndarray:
+    """The preconditioning weight sqrt(pi) (1 - x^2)^(1/4) of the Legendre regime."""
+    return np.sqrt(np.pi) * (1.0 - points**2) ** 0.25
+
+
 def basis_matrix(system: System, indices, points) -> np.ndarray:
     """Evaluate basis functions on points: entry (l, j) = b_{j}(t_l).
 
@@ -296,13 +306,13 @@ def basis_matrix(system: System, indices, points) -> np.ndarray:
         # cos in place: assembly holds one m x N array, not two
         A = np.multiply.outer(theta, idx)
         np.cos(A, out=A)
-        A *= np.where(idx == 0, 1.0, np.sqrt(2.0))
+        A *= _chebyshev_scale(idx)
         return A
     max_degree = int(idx.max()) if idx.size else 0
     V = legvander(pts, max_degree)
     A = V[:, idx] * np.sqrt(idx + 0.5)
     if system.kind == LEGENDRE_PRECONDITIONED:
-        A = A * (np.sqrt(np.pi) * (1.0 - pts**2) ** 0.25)[:, None]
+        A = A * _legendre_weight(pts)[:, None]
     return A
 
 
@@ -369,7 +379,7 @@ class ChebyshevTransform:
         for zj, cj in zip(z, weights * _kernel(z)):
             psi_hat += cj * np.cos(freq * zj)
         self._scale = np.divide(2.0 / w, psi_hat, out=psi_hat)
-        self._scale[1:] *= np.sqrt(2.0)
+        self._scale *= _chebyshev_scale(np.arange(N))
         self._grid_size = n
 
     # Degree k sits at grid index k - K0 modulo the grid size: degrees
@@ -472,8 +482,7 @@ class ChebyshevMatrix:
         self._outer = _cos_sin_rows(np.arange(0, N, B), theta)
         self._inner = _cos_sin_rows(np.arange(B), theta)
         self._inner[:, m:] *= -1.0
-        self._scale = np.full(N, np.sqrt(2.0))
-        self._scale[0] = 1.0
+        self._scale = _chebyshev_scale(np.arange(N))
         self.shape = (m, N)
         self.fast = ChebyshevTransform(theta, N)
 

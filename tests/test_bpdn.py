@@ -172,6 +172,23 @@ def test_uncertified_when_iteration_budget_is_tiny():
     sol = solve_bpdn(starved)
     assert not sol.certified
     assert sol.iterations == 2
+    # the last iteration is a check, and the solve returns that check's figures
+    recomputed = np.linalg.norm(prob.A @ sol.z - prob.y)
+    assert sol.residual_norm == pytest.approx(recomputed, rel=1e-12)
+    assert sol.objective == pytest.approx(np.abs(sol.z).sum(), rel=1e-12)
+
+
+def test_non_finite_iterates_stop_at_the_next_check():
+    # a valid but extreme primal weight overflows the dual iterate; the solve
+    # stops uncertified at the first check instead of using up its budget
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((20, 60))
+    y = rng.standard_normal(20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_bpdn(BpdnProblem(A, y, eta=0.1, step_ratio=1e-300))
+    assert not sol.certified
+    assert sol.iterations == 25
+    assert not np.isfinite(sol.residual_norm + sol.gap)
 
 
 # ---------------------------------------------------------------------------

@@ -263,13 +263,25 @@ def test_rates_bad_format_exits_2(tmp_path, monkeypatch, capsys):
         assert err.startswith("l1sample: error:") and "format" in err
 
 
-def test_unwritable_output_exits_2(tmp_path, capsys):
-    target = tmp_path / "no" / "such" / "out.csv"
-    code, out, err = run_cli(TINY_PHASE + ["--output", str(target)], capsys)
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys):
+    # the output, from a flag or under L1SAMPLE_OUTPUT_DIR, is checked with the
+    # format, before any trial runs
+    for name in ("run_rate_experiment", "run_phase_experiment", "_rate_trial"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a trial ran"))
+    missing = tmp_path / "no" / "such"
+    target = missing / "out.csv"
+    for argv in (TINY_PHASE, TINY_RATES, TINY_RECOVER):
+        code, out, err = run_cli(argv + ["--output", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("l1sample: error:") and str(target) in err
+        assert len(err.splitlines()) == 1
+    monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(missing))
+    code, _out, err = run_cli(TINY_PHASE + ["--output", "out.csv"], capsys)
+    assert code == 2 and str(target) in err
+    # an existing directory is not a file to write
+    code, _out, _err = run_cli(TINY_PHASE + ["--output", str(tmp_path)], capsys)
     assert code == 2
-    assert out == ""
-    assert err.startswith("l1sample: error:") and str(target) in err
-    assert len(err.splitlines()) == 1
 
 
 def test_phase_json_report(capsys):
