@@ -7,6 +7,7 @@ from .bpdn import (
     bpdn_orthonormal_oracle,
     soft_threshold_complex,
     solve_bpdn,
+    solve_bpdn_batch,
 )
 from .classes import (
     CoefficientExpansion,

@@ -8,7 +8,7 @@ additionally get a closed-form solution used as an oracle in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -157,10 +157,51 @@ def _operator_norm(A, dtype: np.dtype) -> float:
     return float(np.linalg.norm(_forward(A, v)))
 
 
-def _dual_objective(w: np.ndarray, AH_w: np.ndarray, y: np.ndarray, rho: float) -> float:
-    """Lagrange dual value of the rescaled vector w / max(1, |A^H w|_inf)."""
-    scale = max(1.0, float(np.abs(AH_w).max())) if AH_w.size else 1.0
-    return (-float(np.real(np.vdot(w, y))) - rho * float(np.linalg.norm(w))) / scale
+class _OneRow:
+    """A dense matrix or a one-trial operator as a stack of one trial.
+
+    It gives ``solve_bpdn_batch`` the interface of a stacking operator such
+    as ``systems.LatticeFourier``: products of (1, N) and (1, m) stacks,
+    ``take``, ``norms`` and, when A has one, the fast stand-in.  The norm is
+    the power-method estimate on the stand-in.
+    """
+
+    def __init__(self, A, dtype: np.dtype) -> None:
+        self.A, self.dtype = A, dtype
+        if hasattr(A, "fast"):
+            self.fast = _OneRow(A.fast, dtype)
+
+    def forward(self, Z: np.ndarray) -> np.ndarray:
+        return _forward(self.A, Z[0])[None]
+
+    def adjoint(self, W: np.ndarray) -> np.ndarray:
+        return _adjoint(self.A, W[0])[None]
+
+    def take(self, keep: np.ndarray) -> "_OneRow":
+        return self  # a stack of one is taken whole or not at all
+
+    def norms(self) -> np.ndarray:
+        return np.array([_operator_norm(getattr(self.A, "fast", self.A), self.dtype)])
+
+
+def _row_dots(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Re <w_t, y_t> for each row t of two stacks of one dtype, as a column.
+
+    Each row is its own dot product, so a row's value does not depend on the
+    rows stacked with it: the batch's bit-for-bit rule.
+    """
+    if W.dtype.kind == "c":
+        W, Y = W.view(np.float64), Y.view(np.float64)
+    return np.vecdot(W, Y)[:, None]
+
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row, as a column."""
+    return np.sqrt(_row_dots(V, V))
+
+
+def _abs_max(V: np.ndarray) -> np.ndarray:
+    return np.abs(V).max(axis=1, keepdims=True)
 
 
 # Adaptive restarts to the running average (Applegate et al., "Faster
@@ -178,44 +219,71 @@ _RESTART_ARTIFICIAL = 0.36
 _WEIGHT_SMOOTHING = 0.5
 
 
-def _kkt_error(z: np.ndarray, w: np.ndarray, residual: float, AH_w: np.ndarray,
-               y: np.ndarray, rho: float, omega: float) -> float:
-    """Primal infeasibility, dual infeasibility and duality gap of (z, w).
+def _values(Z: np.ndarray, W: np.ndarray, Y: np.ndarray, rho: np.ndarray):
+    """||z||_1 and the Lagrange dual value -Re <w, y> - rho ||w|| of each (z, w)."""
+    return np.abs(Z).sum(axis=1, keepdims=True), -_row_dots(W, Y) - rho * _row_norms(W)
+
+
+def _kkt_errors(residual: np.ndarray, AH_W_max: np.ndarray, gap: np.ndarray,
+                rho: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Primal infeasibility, dual infeasibility and duality gap of each (z, w),
+    from its residual, ``|A^H w|_inf`` and gap ``||z||_1 + Re <w, y> + rho ||w||``.
 
     The infeasibilities are gradients in w and in z, so they are weighted as
     the dual of the primal-weighted norm ``omega |z|^2 + |w|^2 / omega``.
     """
-    primal = max(0.0, residual - rho)
-    dual = max(0.0, float(np.abs(AH_w).max(initial=0.0)) - 1.0)
-    gap = (float(np.abs(z).sum()) + float(np.real(np.vdot(w, y)))
-           + rho * float(np.linalg.norm(w)))
-    return float(np.sqrt(omega * primal * primal + dual * dual / omega + gap * gap))
+    primal = np.maximum(0.0, residual - rho)
+    dual = np.maximum(0.0, AH_W_max - 1.0)
+    return np.sqrt(omega * primal * primal + dual * dual / omega + gap * gap)
 
 
 def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
     """Restarted primal-dual solve with a duality-gap stopping certificate.
 
-    The problem is positively homogeneous in ``(y, radius)``, so it is first
+    The solve is the batch of one, ``solve_bpdn_batch([problem])[0]``; see
+    there for the iteration, its restarts, the certificate and the
+    operators A may be.  A dense matrix or a ``ChebyshevMatrix`` gets its
+    norm from the power method (on the fast stand-in where there is one); a
+    ``systems.LatticeFourier`` supplies its exact norm.
+    """
+    return solve_bpdn_batch([problem])[0]
+
+
+def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
+    """Solve problems that share their shape and settings in one loop.
+
+    Returns one solution per problem, in input order, each equal bit for bit
+    to what the batch of that problem alone returns (``solve_bpdn``).  The
+    problems must agree on ``A.shape``, ``max_iters``, ``obj_tol`` and
+    ``step_ratio``; ValueError otherwise.  A batch of more than one needs
+    operators that stack (``systems.LatticeFourier``): a dense matrix or
+    another operator solves alone.
+
+    Each problem is positively homogeneous in ``(y, radius)``, so it is first
     rescaled to unit ``||y||_2``; this keeps the fixed soft-threshold step
     meaningful for data of any magnitude, and the gap test then acts at unit
     data scale.  Feasibility keeps its original-unit meaning exactly (the
-    tolerance is rescaled along with the data).
+    tolerance is rescaled along with the data).  A problem whose y lies in
+    the ball returns z = 0 at once, certified, without a norm or a product.
 
-    Iterates the over-relaxed primal-dual scheme (soft threshold as primal
-    prox, projection-style shrink as dual prox) with steps
-    ``tau = step / omega`` and ``sigma = step * omega``, so ``tau * sigma``
-    stays fixed below ``1 / ||A||^2``.  Every 25th iteration and the last
-    are checks.  A check certifies the current point when, and only when, it
-    is feasible within ``feas_tol`` and the duality gap is at most
-    ``obj_tol * max(1, objective)``.  The solve returns from a check, with
+    The loop iterates (T, N) and (T, m) stacks of the T trials still
+    running: the over-relaxed primal-dual scheme (soft threshold as primal
+    prox, projection-style shrink as dual prox) with steps ``tau = step /
+    omega`` and ``sigma = step * omega``, so ``tau * sigma`` stays fixed
+    below ``1 / ||A||^2``: ``step = 0.95 / (1.05 ||A||)``.  Every trial keeps
+    its own scale, radius, ``feas_tol``, step, primal weight and restart
+    state, and every trial reaches the checks, every 25th iteration and the
+    last, together.  A check certifies a trial's current point when, and
+    only when, it is feasible within ``feas_tol`` and the duality gap is at
+    most ``obj_tol * max(1, objective)``.  The trial stops at a check, with
     that check's point, residual, objective and gap: certified, or
     uncertified when the residual or the gap is not finite, or when the
-    check is the last of ``max_iters``.  An ``obj_tol`` below what rounding
-    can reach therefore runs the whole budget and returns uncertified
-    rather than raising.
+    check is the last of ``max_iters``; the stack then drops it.  An
+    ``obj_tol`` below what rounding can reach therefore runs the whole
+    budget and returns uncertified rather than raising.
 
-    A check that does not certify may restart the iteration (Applegate et
-    al., "Faster first-order primal-dual methods for linear programming
+    A check that does not stop a trial may restart its iteration (Applegate
+    et al., "Faster first-order primal-dual methods for linear programming
     using restarts and sharpness", Math. Program. 2023).  The candidate is
     the current point or the average of the iterates since the last
     restart, whichever has the smaller KKT error (primal infeasibility,
@@ -237,107 +305,179 @@ def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
     multiply only the columns on the support of z; this is the dense sum
     without its zero terms.  The average's A^H w is the running sum of the
     loop's own adjoints, so restarts add one forward product per check and
-    no adjoint.
+    no adjoint.  ||A|| is a 60-step power-method estimate, which the 1.05
+    margin covers.
 
     An operator may carry a fast stand-in for its products as ``A.fast``
     (the same interface, with products accurate to a known tolerance rather
     than to rounding); ``ChebyshevMatrix`` carries its nonuniform FFT.  The
     stand-in serves the norm estimate and the adjoint of every iteration
-    but the checks (every 25th and the last).  Those use the exact A^H w, so
-    the gap, the residual and the returned point behind a certificate rest
-    on exact products.  A dense matrix is its own stand-in.
+    but the checks.  Those use the exact A^H w, so the gap, the residual and
+    the returned point behind a certificate rest on exact products.  A dense
+    matrix is its own stand-in.
+
+    An operator that stacks, ``systems.LatticeFourier``, instead runs the
+    trials' products on (T, N) and (T, m) stacks with its own ``forward``
+    and ``adjoint`` (one FFT per trial and product), and supplies each
+    trial's exact ||A||, so its solves run no power method.
     """
-    A, y, rho = problem.A, problem.y, problem.radius
-    fast = getattr(A, "fast", A)
-    m, N = A.shape
-    dtype = np.result_type(A.dtype, y.dtype)
-    obj_tol = problem.obj_tol
+    problems = list(problems)
+    if not problems:
+        return []
+    first = problems[0]
+    settings = (first.A.shape, first.max_iters, first.obj_tol, first.step_ratio)
+    if any((p.A.shape, p.max_iters, p.obj_tol, p.step_ratio) != settings for p in problems):
+        raise ValueError("a batch's problems must agree on the shape of A, "
+                         "max_iters, obj_tol and step_ratio")
+    N = first.A.shape[1]
+    dtype = np.result_type(first.A.dtype, *(p.y.dtype for p in problems))
+    solutions: List[Optional[BpdnSolution]] = [None] * len(problems)
 
-    y_norm = float(np.linalg.norm(y))
-    if y_norm <= rho:
+    Y = np.stack([p.y for p in problems]).astype(dtype, copy=False)
+    y_norm = _row_norms(Y)
+    rho = np.array([[p.radius] for p in problems])
+    inside = (y_norm <= rho)[:, 0]
+    for i in np.flatnonzero(inside):
         # z = 0 is feasible and no objective can beat ||0||_1
-        return BpdnSolution(
-            z=np.zeros(N, dtype=dtype),
-            residual_norm=y_norm,
-            objective=0.0,
-            iterations=0,
-            certified=True,
-            gap=0.0,
-        )
+        solutions[i] = BpdnSolution(np.zeros(N, dtype=dtype), float(y_norm[i, 0]),
+                                    0.0, 0, True, 0.0)
+    index = np.flatnonzero(~inside)
+    if index.size == 0:
+        return solutions
 
-    scale = y_norm
-    y = y / scale
-    rho = rho / scale
-    feas_tol = problem.effective_feas_tol / scale
-
-    L = _operator_norm(fast, dtype)
-    if L == 0.0:
+    operators = [problems[i].A for i in index]
+    if hasattr(type(first.A), "stack"):
+        A = type(first.A).stack(operators)
+    elif len(operators) == 1:
+        A = _OneRow(operators[0], dtype)
+    else:
+        raise ValueError("only operators that stack solve as a batch of more than one")
+    L = A.norms()[:, None]
+    if not np.all(L > 0.0):
         raise ValueError("A is numerically zero and y lies outside the radius")
-    step = 0.95 / (1.05 * L)
-    omega = 1.0 / problem.step_ratio
-    tau, sigma = step / omega, step * omega
 
-    sigma_y = sigma * y
-    z = np.zeros(N, dtype=dtype)
-    zbar = z
-    w = np.zeros(m, dtype=dtype)
+    # per-trial state, one row per running trial; no two arrays share memory,
+    # since the loop updates them and the checks compact them in place
+    scale = y_norm[index]
+    Y = Y[index] / scale
+    rho = rho[index] / scale
+    feas_tol = np.array([[problems[i].effective_feas_tol] for i in index]) / scale
+    step = 0.95 / (1.05 * L)
+    omega = np.full_like(step, 1.0 / first.step_ratio)
+    tau, sigma = step / omega, step * omega
+    sigma_y = sigma * Y
+    T = index.size
+    Z, Zbar = np.zeros((T, N), dtype=dtype), np.zeros((T, N), dtype=dtype)
+    W = np.zeros_like(Y)
     # the last restart point and its KKT error (z = w = 0 leaves only the
     # primal infeasibility ||y|| - rho = 1 - rho), the candidate's error at
     # the previous check, and the running sums behind the average since the
     # restart (A^H w summed over the loop's own adjoints)
-    z_start, w_start, start_it = z, w, 0
-    kkt_start, kkt_prev = np.sqrt(omega) * (1.0 - rho), np.inf
-    z_sum, w_sum, AH_w_sum = np.zeros_like(z), np.zeros_like(w), np.zeros_like(z)
+    Z_start, W_start, start_it = np.zeros_like(Z), np.zeros_like(W), np.zeros_like(index)
+    kkt_start, kkt_prev = np.sqrt(omega) * (1.0 - rho), np.full_like(step, np.inf)
+    Z_sum, W_sum, AH_sum = np.zeros_like(Z), np.zeros_like(W), np.zeros_like(Z)
+    max_iters, obj_tol = first.max_iters, first.obj_tol
+    fast = getattr(A, "fast", A)
+    any_radius, tiny = bool(rho.any()), np.finfo(np.float64).tiny
 
-    for it in range(1, problem.max_iters + 1):
-        check = it % 25 == 0 or it == problem.max_iters
-        v = w + sigma * _forward(A, zbar) - sigma_y
-        nv = float(np.linalg.norm(v))
-        shrink = max(0.0, 1.0 - sigma * rho / nv) if nv > 0 else 0.0
-        w = v * shrink
-        AH_w = _adjoint(A if check else fast, w)
-        z_new = soft_threshold_complex(z - tau * AH_w, tau)
-        zbar = 2.0 * z_new - z
-        z = z_new
-        z_sum += z
-        w_sum += w
-        AH_w_sum += AH_w
+    for it in range(1, max_iters + 1):
+        check = it % 25 == 0 or it == max_iters
+        # w <- shrink of v = w + sigma (A zbar - y), the projection-style prox
+        V = A.forward(Zbar)
+        V *= sigma
+        V += W
+        V -= sigma_y
+        if any_radius:  # with radius 0 the shrink is 1
+            # nv = 0 means v = 0, and any shrink leaves w = 0
+            V *= np.maximum(0.0, 1.0 - sigma * rho / np.maximum(_row_norms(V), tiny))
+        W = V
+        AH_W = (A if check else fast).adjoint(W)
+        # z <- soft threshold of u = z - tau A^H w at tau; zbar <- 2 z_new - z
+        U = np.multiply(AH_W, tau)
+        np.subtract(Z, U, out=U)
+        factor = np.abs(U)
+        np.maximum(factor, tau, out=factor)
+        np.divide(tau, factor, out=factor)
+        np.subtract(1.0, factor, out=factor)
+        U *= factor
+        np.multiply(U, 2.0, out=Zbar)
+        Zbar -= Z
+        Z = U
+        Z_sum += Z
+        W_sum += W
+        AH_sum += AH_W
+        if not check:
+            continue
 
-        if check:
-            residual = float(np.linalg.norm(_forward(A, z) - y))
-            objective = float(np.abs(z).sum())
-            gap = objective - _dual_objective(w, AH_w, y, rho)
-            # the one exit: a certificate, a non-finite point or the last iteration
-            finite = bool(np.isfinite(residual + gap))
-            certified = (finite and residual <= rho + feas_tol
-                         and gap <= obj_tol * max(1.0, objective))
-            if certified or not finite or it == problem.max_iters:
-                return BpdnSolution(z * scale, residual * scale,
-                                    objective * scale, it, certified, gap * scale)
-            count = it - start_it
-            z_avg, w_avg = z_sum / count, w_sum / count
-            avg_residual = float(np.linalg.norm(_forward(A, z_avg) - y))
-            kkt_avg = _kkt_error(z_avg, w_avg, avg_residual, AH_w_sum / count, y, rho, omega)
-            kkt_cur = _kkt_error(z, w, residual, AH_w, y, rho, omega)
-            kkt = min(kkt_avg, kkt_cur)
-            if (kkt <= _RESTART_SUFFICIENT * kkt_start
-                    or kkt_prev < kkt <= _RESTART_NECESSARY * kkt_start
-                    or count >= _RESTART_ARTIFICIAL * it):
-                if kkt_avg < kkt_cur:
-                    z, w = z_avg, w_avg
-                dz = float(np.linalg.norm(z - z_start))
-                dw = float(np.linalg.norm(w - w_start))
-                if dz > 0.0 and dw > 0.0:
-                    omega *= (dw / dz / omega) ** _WEIGHT_SMOOTHING
-                    tau, sigma = step / omega, step * omega
-                    sigma_y = sigma * y
-                zbar = z
-                z_start, w_start, start_it = z, w, it
-                kkt_start, kkt_prev = kkt, np.inf
-                for total in (z_sum, w_sum, AH_w_sum):
-                    total.fill(0)
-            else:
-                kkt_prev = kkt
+        residual = _row_norms(A.forward(Z) - Y)
+        objective, value = _values(Z, W, Y, rho)
+        # the gap to the dual value of the rescaled w / max(1, |A^H w|_inf)
+        AH_W_max = _abs_max(AH_W)
+        gap = objective - value / np.maximum(1.0, AH_W_max)
+        # a trial's one exit: a certificate, a non-finite point or the last iteration
+        finite = np.isfinite(residual + gap)
+        certified = (finite & (residual <= rho + feas_tol)
+                     & (gap <= obj_tol * np.maximum(1.0, objective)))
+        done = (certified | ~finite)[:, 0] | (it == max_iters)
+        if done.any():
+            for j in np.flatnonzero(done):
+                s = scale[j, 0]
+                solutions[index[j]] = BpdnSolution(
+                    Z[j] * s, float(residual[j, 0] * s), float(objective[j, 0] * s), it,
+                    bool(certified[j, 0]), float(gap[j, 0] * s))
+            if done.all():
+                return solutions
+            keep = np.flatnonzero(~done)
+            A = A.take(keep)
+            fast = getattr(A, "fast", A)
+            (index, scale, Y, rho, feas_tol, step, omega, tau, sigma, sigma_y, Z, Zbar, W,
+             Z_start, W_start, start_it, kkt_start, kkt_prev, Z_sum, W_sum, AH_sum,
+             residual, objective, value, AH_W_max) = _compact(keep, (
+                 index, scale, Y, rho, feas_tol, step, omega, tau, sigma, sigma_y, Z, Zbar, W,
+                 Z_start, W_start, start_it, kkt_start, kkt_prev, Z_sum, W_sum, AH_sum,
+                 residual, objective, value, AH_W_max))
+
+        count = (it - start_it)[:, None]
+        Z_avg, W_avg = Z_sum / count, W_sum / count
+        avg_residual = _row_norms(A.forward(Z_avg) - Y)
+        avg_objective, avg_value = _values(Z_avg, W_avg, Y, rho)
+        # |A^H w_avg|_inf, from the running sum without an average's array
+        kkt_avg = _kkt_errors(avg_residual, _abs_max(AH_sum) / count,
+                              avg_objective - avg_value, rho, omega)
+        kkt_cur = _kkt_errors(residual, AH_W_max, objective - value, rho, omega)
+        kkt = np.minimum(kkt_avg, kkt_cur)
+        restart = ((kkt <= _RESTART_SUFFICIENT * kkt_start)
+                   | ((kkt_prev < kkt) & (kkt <= _RESTART_NECESSARY * kkt_start))
+                   | (count >= _RESTART_ARTIFICIAL * it))
+        kkt_prev = np.where(restart, np.inf, kkt)
+        if not restart.any():
+            continue
+        rows = restart[:, 0]
+        to_avg = rows & (kkt_avg < kkt_cur)[:, 0]
+        Z[to_avg], W[to_avg] = Z_avg[to_avg], W_avg[to_avg]
+        dz, dw = _row_norms(Z - Z_start), _row_norms(W - W_start)
+        reweight = restart & (dz > 0.0) & (dw > 0.0)
+        ratio = np.where(reweight, dw, 1.0) / np.where(reweight, dz, 1.0) / omega
+        omega = np.where(reweight, omega * ratio**_WEIGHT_SMOOTHING, omega)
+        tau, sigma = step / omega, step * omega
+        sigma_y = sigma * Y
+        Zbar[rows] = Z_start[rows] = Z[rows]
+        W_start[rows] = W[rows]
+        start_it[rows] = it
+        kkt_start = np.where(restart, kkt, kkt_start)
+        for total in (Z_sum, W_sum, AH_sum):
+            total[rows] = 0
+    raise AssertionError("unreachable: the check at max_iters stops every trial")
+
+
+def _compact(keep: np.ndarray, arrays) -> list:
+    """The rows ``keep`` (ascending) of each array, moved in place to its
+    first rows: the stack shrinks without a second copy of its state."""
+    out = []
+    for x in arrays:
+        x[:keep.size] = x[keep]
+        out.append(x[:keep.size])
+    return out
 
 
 # ---------------------------------------------------------------------------

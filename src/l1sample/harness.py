@@ -40,16 +40,13 @@ from .recovery import (
     search_set,
 )
 from .systems import (
-    BOX,
     FOURIER,
-    IndexSet,
+    LatticeFourier,
     SamplePlan,
     System,
-    basis_matrix,
     draw_points,
-    make_index_set,
 )
-from .bpdn import BpdnProblem, solve_bpdn
+from .bpdn import BpdnProblem, solve_bpdn_batch
 
 PHASE_SUCCESS_THRESHOLD = 1e-4
 
@@ -274,20 +271,17 @@ def _run_rows(
 ) -> Tuple[Tuple[RateRow, ...], int]:
     """Run each row's seeded trials; return the row summaries and the uncertified count.
 
-    A row is (n, m, trial), and ``trial`` maps the seed pair of (seed_base,
-    row index, trial index) to the trial's error, or None when its solve
-    did not certify.  Quantiles are taken over certified errors; a certified
-    trial succeeds when its error is at most ``threshold`` (always, without
-    one).
+    A row is (n, m, run), and ``run`` maps the row's list of seed pairs, one
+    per trial, each from (seed_base, row index, trial index), to the trials'
+    errors, None where a solve did not certify.  Quantiles are taken over
+    certified errors; a certified trial succeeds when its error is at most
+    ``threshold`` (always, without one).
     """
     summaries = []
     uncertified = 0
-    for row, (n, m, trial) in enumerate(rows):
-        errors = []
-        for t in range(trials):
-            error = trial(_trial_seeds(seed_base, row, t))
-            if error is not None:
-                errors.append(error)
+    for row, (n, m, run) in enumerate(rows):
+        seeds = [_trial_seeds(seed_base, row, t) for t in range(trials)]
+        errors = [error for error in run(seeds) if error is not None]
         uncertified += trials - len(errors)
         successes = sum(1 for e in errors if threshold is None or e <= threshold)
         if errors:
@@ -344,10 +338,10 @@ def _rate_trial(config: ExperimentConfig, rc: RecoveryConfig, seeds: Tuple[int, 
     return recover(evaluate_function(f, points), rc, points, f_true=f)
 
 
-def _rate_error(config: ExperimentConfig, rc: RecoveryConfig,
-                seeds: Tuple[int, int]) -> Optional[float]:
-    result = _rate_trial(config, rc, seeds)
-    return result.l2_err if result.certified else None
+def _rate_errors(config: ExperimentConfig, rc: RecoveryConfig,
+                 seeds: Sequence[Tuple[int, int]]) -> list:
+    results = [_rate_trial(config, rc, pair) for pair in seeds]
+    return [result.l2_err if result.certified else None for result in results]
 
 
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:
@@ -361,7 +355,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     """
     rcs = [_recovery_config(config, n) for n in config.n_values]
     rows, uncertified = _run_rows(config.seed_base, config.trials_per_n, [
-        (rc.n, sample_count(rc), functools.partial(_rate_error, config, rc)) for rc in rcs])
+        (rc.n, sample_count(rc), functools.partial(_rate_errors, config, rc)) for rc in rcs])
     slope = fit_slope([row.n for row in rows], [row.median_error for row in rows])
     return RateReport(
         rows=rows,
@@ -389,6 +383,11 @@ def run_phase_experiment(
     succeeds when the solve certifies and the relative l2 coefficient error
     is at most 1e-4; ``success_fraction`` reports that fraction, while the
     quantile columns summarize errors of certified trials.
+
+    The lattice's side is the box's, so each trial's matrix is a set of rows
+    of the N-point DFT: a ``systems.LatticeFourier``, with FFT products and
+    its exact norm, not a stored matrix.  A row's trials are built from
+    their seeds and solved together, by one ``solve_bpdn_batch``.
     """
     if system.kind != FOURIER:
         raise ValueError("phase experiments run on the Fourier system")
@@ -403,22 +402,24 @@ def run_phase_experiment(
         raise ValueError("trials must be >= 1")
     if any(m < 1 for m in m_grid):
         raise ValueError("sample counts must be >= 1")
-    box = make_index_set(BOX, d=d, M=D) if D >= 1 else IndexSet(BOX, d, 0)
 
-    def trial(m, seeds):
-        rng = np.random.default_rng(seeds[0])
-        support = rng.choice(N, size=s, replace=False)
-        coeffs = np.zeros(N, dtype=np.complex128)
-        coeffs[support] = np.exp(2j * np.pi * rng.random(s))
-        plan = SamplePlan(seed=seeds[1], mode="grid", grid_size=D)
-        A = basis_matrix(system, box, draw_points(system, m, plan))
-        solution = solve_bpdn(BpdnProblem(A, A @ coeffs, eta=0.0, step_ratio=step_ratio))
-        if not solution.certified:
-            return None
-        return float(np.linalg.norm(solution.z - coeffs) / np.linalg.norm(coeffs))
+    def row(m, seeds):
+        problems, truths = [], []
+        for seed_c, seed_pts in seeds:
+            rng = np.random.default_rng(seed_c)
+            support = rng.choice(N, size=s, replace=False)
+            coeffs = np.zeros(N, dtype=np.complex128)
+            coeffs[support] = np.exp(2j * np.pi * rng.random(s))
+            plan = SamplePlan(seed=seed_pts, mode="grid", grid_size=D)
+            A = LatticeFourier(draw_points(system, m, plan), D)
+            problems.append(BpdnProblem(A, A @ coeffs, eta=0.0, step_ratio=step_ratio))
+            truths.append(coeffs)
+        return [float(np.linalg.norm(solution.z - coeffs) / np.linalg.norm(coeffs))
+                if solution.certified else None
+                for solution, coeffs in zip(solve_bpdn_batch(problems), truths)]
 
     rows, uncertified = _run_rows(seed, trials, [
-        (s, int(m), functools.partial(trial, m)) for m in m_grid], PHASE_SUCCESS_THRESHOLD)
+        (s, int(m), functools.partial(row, m)) for m in m_grid], PHASE_SUCCESS_THRESHOLD)
     return RateReport(rows=rows, uncertified_trials=uncertified)
 
 

@@ -14,8 +14,16 @@ from l1sample.bpdn import (
     bpdn_orthonormal_oracle,
     soft_threshold_complex,
     solve_bpdn,
+    solve_bpdn_batch,
 )
-from l1sample.systems import ChebyshevMatrix, basis_matrix, chebyshev_system
+from l1sample.systems import (
+    ChebyshevMatrix,
+    LatticeFourier,
+    basis_matrix,
+    chebyshev_system,
+    fourier_system,
+    make_index_set,
+)
 
 
 def random_orthonormal_instance(rng, N=8, m=12, complex_data=True, obj_tol=1e-7):
@@ -440,3 +448,68 @@ def test_restarts_cut_the_iterations_and_keep_the_solutions():
     # without restarts (a fixed primal weight of 1 / step_ratio) this set
     # takes 1,550 + 24,550 = 26,100 iterations
     assert sum(sol.iterations for sol in solutions) < 26_100 / 2
+
+
+# ---------------------------------------------------------------------------
+# batches of lattice problems
+
+
+def _lattice_problem(seed, m=10, D=12, s=3, eta=0.0, max_iters=50_000, **kwargs):
+    """Exact s-sparse recovery on m lattice points of the box |k| <= D."""
+    rng = np.random.default_rng(seed)
+    N = 2 * D + 1
+    c = np.zeros(N, dtype=complex)
+    c[rng.choice(N, s, replace=False)] = np.exp(2j * np.pi * rng.random(s))
+    A = LatticeFourier(rng.integers(0, N, size=m) / N, D)
+    return BpdnProblem(A, A @ c, eta=eta, step_ratio=0.0625, max_iters=max_iters, **kwargs)
+
+
+def _same(a, b):
+    return (np.array_equal(a.z, b.z) and a.z.dtype == b.z.dtype
+            and (a.residual_norm, a.objective, a.iterations, a.certified, a.gap)
+            == (b.residual_norm, b.objective, b.iterations, b.certified, b.gap))
+
+
+def test_a_batch_returns_each_problems_own_solution():
+    # seeds 6 and 9 need 550 and 450 iterations, the others 175 to 375; at a
+    # shared budget of 390 the batch drops trials at several checks, stops
+    # two uncertified at the budget's last (off-grid) check, and returns one
+    # trial whose y lies in the ball at once
+    problems = [_lattice_problem(seed, max_iters=390) for seed in (6, 2, 0, 4, 9, 1)]
+    problems.insert(3, _lattice_problem(3, eta=5.0, max_iters=390))
+    batch = solve_bpdn_batch(problems)
+    alone = [solve_bpdn(p) for p in problems]
+    assert len(batch) == len(problems)
+    assert all(_same(a, b) for a, b in zip(batch, alone))
+    iterations = [sol.iterations for sol in batch]
+    certified = [sol.certified for sol in batch]
+    assert iterations[3] == 0 and certified[3]
+    assert [it for it, ok in zip(iterations, certified) if not ok] == [390, 390]
+    assert len({it for it, ok in zip(iterations, certified) if ok and it}) >= 3
+
+
+def test_a_batch_needs_problems_that_agree():
+    base = _lattice_problem(0)
+    for other in (_lattice_problem(1, m=11), _lattice_problem(1, max_iters=100),
+                  _lattice_problem(1, obj_tol=1e-6),
+                  BpdnProblem(base.A, base.y, 0.0, step_ratio=1.0)):
+        with pytest.raises(ValueError, match="agree"):
+            solve_bpdn_batch([base, other])
+    rng = np.random.default_rng(3)
+    dense = [random_orthonormal_instance(rng) for _ in range(2)]
+    with pytest.raises(ValueError, match="stack"):
+        solve_bpdn_batch(dense)
+    assert solve_bpdn_batch([]) == []
+
+
+def test_lattice_solve_matches_the_dense_solve():
+    for seed in range(4):
+        prob = _lattice_problem(seed)
+        box = make_index_set("box", d=1, M=12)
+        A = basis_matrix(fourier_system(1), box, prob.A._points[0])
+        dense = solve_bpdn(BpdnProblem(A, prob.y, 0.0, step_ratio=prob.step_ratio))
+        fast = solve_bpdn(prob)
+        assert dense.certified and fast.certified
+        assert fast.iterations == dense.iterations
+        assert np.linalg.norm(fast.z - dense.z) <= 1e-12 * np.linalg.norm(dense.z)
+

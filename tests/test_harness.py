@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from l1sample import harness
-from l1sample.bpdn import solve_bpdn
+from l1sample.bpdn import solve_bpdn_batch
 from l1sample.classes import (
     analytic_best_term_bound,
     poly_wiener,
@@ -333,11 +333,15 @@ def test_phase_experiment_validation():
 def test_phase_experiment_checks_the_whole_grid_before_solving(monkeypatch):
     calls = []
 
-    def counting_solve(problem):
-        calls.append(problem)
-        return solve_bpdn(problem)
+    def counting_solve(problems):
+        calls.append(problems)
+        return solve_bpdn_batch(problems)
 
-    monkeypatch.setattr(harness, "solve_bpdn", counting_solve)
+    # the phase table solves each row as one batch
+    monkeypatch.setattr(harness, "solve_bpdn_batch", counting_solve)
+    run_phase_experiment(fourier_system(1), 9, 1, (27,), 2, step_ratio=0.0625)
+    assert len(calls) == 1 and len(calls[0]) == 2
+    calls.clear()
     with pytest.raises(ValueError, match="sample counts"):
         run_phase_experiment(fourier_system(1), 257, 5, (160, 0), 50)
     assert calls == []

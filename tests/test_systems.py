@@ -20,7 +20,7 @@ from l1sample import (
     uniform_bound,
 )
 
-from l1sample.systems import _BLOCK, ChebyshevMatrix
+from l1sample.systems import _BLOCK, ChebyshevMatrix, LatticeFourier
 
 from util import arcsine_cdf, chebyshev_value, ks_statistic, legendre_value, uniform_cdf
 
@@ -362,3 +362,72 @@ def test_chebyshev_matrix_matches_the_dense_products(m, N, complex_data):
         assert got.shape == want.shape
         assert np.iscomplexobj(got) == (complex_data and np.iscomplexobj(want))
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+# ---------------------------------------------------------------------------
+# lattice Fourier products
+
+
+def _lattice_instance(rng, d, D, m):
+    """Lattice points g / q with repeats, and the box's dense matrix."""
+    q = 2 * D + 1
+    points = rng.integers(0, q, size=(m, d)) / q
+    points[1:3] = points[0]  # a point of multiplicity at least three
+    box = make_index_set("box", d=d, M=D) if D else np.zeros((1, d), dtype=int)
+    return points, basis_matrix(fourier_system(d), box, points)
+
+
+# (d, D, m): the q = 1 edge (N = 1), small boxes, and the phase table's size
+@pytest.mark.parametrize("d, D, m", [(1, 0, 3), (1, 1, 5), (1, 128, 160),
+                                     (2, 0, 4), (2, 2, 30), (2, 4, 60)])
+def test_lattice_fourier_matches_the_dense_products(d, D, m):
+    rng = np.random.default_rng(100 * d + D + m)
+    points, A = _lattice_instance(rng, d, D, m)
+    N = A.shape[1]
+    op = LatticeFourier(points, D)
+    assert op.shape == (m, N) and op.dtype == np.complex128
+    w = rng.normal(size=m) + 1j * rng.normal(size=m)
+    full = rng.normal(size=N) + 1j * rng.normal(size=N)
+    sparse = np.zeros(N, dtype=complex)
+    sparse[rng.choice(N, min(N, 3), replace=False)] = 0.6 - 0.8j
+    cases = [(op.adjoint(w[None])[0], A.conj().T @ w)]
+    for v in (full, sparse):
+        cases += [(op.forward(v[None])[0], A @ v), (op @ v, A @ v)]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.array_equal(op @ np.zeros(N), np.zeros(m))
+    # A A^H = N [x_l = x_l'], so the norm is exact
+    assert op.norms()[0] == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+
+def test_lattice_fourier_stacks_trials_row_by_row():
+    rng = np.random.default_rng(7)
+    ops = [LatticeFourier(_lattice_instance(rng, 2, 2, 12)[0], 2) for _ in range(3)]
+    stack = LatticeFourier.stack(ops)
+    X = rng.normal(size=(3, 25)) + 1j * rng.normal(size=(3, 25))
+    W = rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
+    for t, op in enumerate(ops):
+        assert np.array_equal(stack.forward(X)[t], op.forward(X[t:t + 1])[0])
+        assert np.array_equal(stack.adjoint(W)[t], op.adjoint(W[t:t + 1])[0])
+        assert stack.norms()[t] == op.norms()[0]
+    kept = stack.take(np.array([2, 0]))
+    assert np.array_equal(kept.forward(X[[2, 0]]), stack.forward(X)[[2, 0]])
+    assert np.array_equal(kept.adjoint(W[[2, 0]]), stack.adjoint(W)[[2, 0]])
+
+
+def test_lattice_fourier_validation():
+    with pytest.raises(ValueError, match="lattice"):
+        LatticeFourier([0.0, 0.5], 1)  # 0.5 is not a multiple of 1/3
+    with pytest.raises(ValueError, match="lattice"):
+        LatticeFourier([1 / 3 + 1e-12], 1)  # off by more than rounding
+    with pytest.raises(ValueError, match="finite"):
+        LatticeFourier([0.0, np.nan], 1)
+    with pytest.raises(ValueError):
+        LatticeFourier([0.0], -1)
+    one, two = LatticeFourier([0.0, 1 / 3], 1), LatticeFourier([[0.0, 0.2]], 2)
+    with pytest.raises(ValueError):
+        LatticeFourier.stack([one, two])
+    with pytest.raises(ValueError, match="one trial"):
+        LatticeFourier.stack([one, one]) @ np.ones(3)
+
