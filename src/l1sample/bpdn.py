@@ -25,7 +25,7 @@ class BpdnProblem:
     start in favour of the dual variable.
     """
 
-    A: np.ndarray  # or an operator, perhaps with a fast stand-in; see solve_bpdn
+    A: np.ndarray  # or an operator on (T, .) stacks; see solve_bpdn_batch
     y: np.ndarray
     eta: float
     feas_tol: Optional[float] = None
@@ -107,36 +107,39 @@ def soft_threshold_complex(v: np.ndarray, t: float) -> np.ndarray:
     return v * (1.0 - t / np.maximum(np.abs(v), t))
 
 
-def _forward(A, x: np.ndarray) -> np.ndarray:
-    """A @ x over the support of x: the same sum with its zero terms left out.
+class _Dense:
+    """A dense matrix as an operator, read in place and never copied.
 
-    An operator computes it with its own ``forward``; a full support reads
-    the matrix in place.
+    Each row of a stack is its own matrix-vector product, so its value does
+    not depend on the rows stacked with it; the solver gives it one trial.
     """
-    if not isinstance(A, np.ndarray):
-        return A.forward(x)
-    s = x.nonzero()[0]
-    if s.size == x.size:
-        return A @ x
-    return A.take(s, axis=1) @ x[s]
 
+    def __init__(self, A: np.ndarray) -> None:
+        self.A, self.shape, self.dtype = A, A.shape, A.dtype
 
-def _adjoint(A, w: np.ndarray) -> np.ndarray:
-    """The exact product A^H w: an operator's ``adjoint``, or the dense
-    product reading A in place (no transposed copy)."""
-    if not isinstance(A, np.ndarray):
-        return A.adjoint(w)
-    if A.dtype.kind != "c":
-        return w @ A
-    g = w.conj() @ A
-    return np.conjugate(g, out=g)
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """A x over the support of each row x: the dense sum without its zero terms."""
+        rows = []
+        for x in X:
+            s = x.nonzero()[0]
+            rows.append(self.A @ x if s.size == x.size else self.A.take(s, axis=1) @ x[s])
+        return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+    def adjoint(self, W: np.ndarray) -> np.ndarray:
+        """A^H w of each row w, as conj(conj(w) A): no transposed copy of A."""
+        if self.dtype.kind != "c":
+            rows = [w @ self.A for w in W]
+        else:
+            rows = [np.conjugate(g, out=g) for g in (w.conj() @ self.A for w in W)]
+        return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
 _NORM_STEPS = 60  # power-method steps of the norm estimate
 
 
 def _operator_norm(A, dtype: np.dtype) -> float:
-    """Power-method estimate of the spectral norm, deterministic start.
+    """Power-method estimate of a one-trial operator's spectral norm, on a
+    stack of one, from a deterministic start.
 
     The start is complex when ``dtype`` is.
     """
@@ -147,41 +150,14 @@ def _operator_norm(A, dtype: np.dtype) -> float:
     nv = np.linalg.norm(v)
     if nv == 0:
         return 0.0
-    v = v / nv
+    V = (v / nv)[None]
     for _ in range(_NORM_STEPS):
-        w = _adjoint(A, _forward(A, v))
-        nw = np.linalg.norm(w)
+        W = A.adjoint(A.forward(V))
+        nw = np.linalg.norm(W)
         if nw == 0:
             return 0.0
-        v = w / nw
-    return float(np.linalg.norm(_forward(A, v)))
-
-
-class _OneRow:
-    """A dense matrix or a one-trial operator as a stack of one trial.
-
-    It gives ``solve_bpdn_batch`` the interface of a stacking operator such
-    as ``systems.LatticeFourier``: products of (1, N) and (1, m) stacks,
-    ``take``, ``norms`` and, when A has one, the fast stand-in.  The norm is
-    the power-method estimate on the stand-in.
-    """
-
-    def __init__(self, A, dtype: np.dtype) -> None:
-        self.A, self.dtype = A, dtype
-        if hasattr(A, "fast"):
-            self.fast = _OneRow(A.fast, dtype)
-
-    def forward(self, Z: np.ndarray) -> np.ndarray:
-        return _forward(self.A, Z[0])[None]
-
-    def adjoint(self, W: np.ndarray) -> np.ndarray:
-        return _adjoint(self.A, W[0])[None]
-
-    def take(self, keep: np.ndarray) -> "_OneRow":
-        return self  # a stack of one is taken whole or not at all
-
-    def norms(self) -> np.ndarray:
-        return np.array([_operator_norm(getattr(self.A, "fast", self.A), self.dtype)])
+        V = W / nw
+    return float(np.linalg.norm(A.forward(V)))
 
 
 def _row_dots(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -242,9 +218,7 @@ def solve_bpdn(problem: BpdnProblem) -> BpdnSolution:
 
     The solve is the batch of one, ``solve_bpdn_batch([problem])[0]``; see
     there for the iteration, its restarts, the certificate and the
-    operators A may be.  A dense matrix or a ``ChebyshevMatrix`` gets its
-    norm from the power method (on the fast stand-in where there is one); a
-    ``systems.LatticeFourier`` supplies its exact norm.
+    operators A may be.
     """
     return solve_bpdn_batch([problem])[0]
 
@@ -296,30 +270,31 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     "Practical large-scale linear programming using primal-dual hybrid
     gradient", NeurIPS 2021); it starts at ``1 / step_ratio``.
 
-    ``problem.A`` is a dense matrix or an operator: an object with
-    ``shape``, ``dtype``, ``forward(x) = A x`` and ``adjoint(w) = A^H w``,
-    both exact up to rounding, such as ``systems.ChebyshevMatrix``.  A real
-    operator takes complex data as its real and imaginary parts.  A is read
-    in place and never copied.  The iterates are sparse, so the forward
-    products (the step and every residual, including the returned one)
-    multiply only the columns on the support of z; this is the dense sum
-    without its zero terms.  The average's A^H w is the running sum of the
-    loop's own adjoints, so restarts add one forward product per check and
-    no adjoint.  ||A|| is a 60-step power-method estimate, which the 1.05
-    margin covers.
+    ``problem.A`` is a dense matrix or an operator.  An operator has
+    ``shape`` (m, N), ``dtype``, ``forward(X)``, which takes a (T, N) stack
+    to the (T, m) stack of the products A_t x_t, and ``adjoint(W)``, which
+    takes a (T, m) stack to the (T, N) stack of A_t^H w_t.  Both are exact
+    up to rounding and work row by row: a row's value does not depend on the
+    rows stacked with it.  A real operator takes complex stacks too.  An
+    operator may also have ``norms()``, each trial's exact ||A||; ``fast``, a
+    stand-in with the same products accurate to a known tolerance rather
+    than to rounding; and the class method ``stack(operators)`` with
+    ``take(rows)``, which join and select trials, needed only by a batch of
+    more than one.  ``systems.ChebyshevMatrix`` has ``fast`` (its
+    nonuniform FFT); ``systems.LatticeFourier`` has ``norms``, ``stack`` and
+    ``take``.  A dense matrix becomes a one-trial operator that reads it in
+    place; it is never copied.
 
-    An operator may carry a fast stand-in for its products as ``A.fast``
-    (the same interface, with products accurate to a known tolerance rather
-    than to rounding); ``ChebyshevMatrix`` carries its nonuniform FFT.  The
-    stand-in serves the norm estimate and the adjoint of every iteration
-    but the checks.  Those use the exact A^H w, so the gap, the residual and
-    the returned point behind a certificate rest on exact products.  A dense
-    matrix is its own stand-in.
-
-    An operator that stacks, ``systems.LatticeFourier``, instead runs the
-    trials' products on (T, N) and (T, m) stacks with its own ``forward``
-    and ``adjoint`` (one FFT per trial and product), and supplies each
-    trial's exact ||A||, so its solves run no power method.
+    The iterates are sparse, so the forward products (the step and every
+    residual, including the returned one) multiply only the columns on the
+    support of z; this is the dense sum without its zero terms.  The
+    average's A^H w is the running sum of the loop's own adjoints, so
+    restarts add one forward product per check and no adjoint.  ||A|| is
+    ``norms()`` where the operator has it, and otherwise a 60-step
+    power-method estimate on the stand-in (or on A), which the 1.05 margin
+    covers.  The stand-in also serves the adjoint of every iteration but the
+    checks.  Those use the exact A^H w, so the gap, the residual and the
+    returned point behind a certificate rest on exact products.
     """
     problems = list(problems)
     if not problems:
@@ -345,14 +320,17 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     if index.size == 0:
         return solutions
 
-    operators = [problems[i].A for i in index]
-    if hasattr(type(first.A), "stack"):
-        A = type(first.A).stack(operators)
-    elif len(operators) == 1:
-        A = _OneRow(operators[0], dtype)
+    if index.size > 1:
+        if not hasattr(type(first.A), "stack"):
+            raise ValueError("only operators that stack solve as a batch of more than one")
+        A = type(first.A).stack([problems[i].A for i in index])
     else:
-        raise ValueError("only operators that stack solve as a batch of more than one")
-    L = A.norms()[:, None]
+        A = problems[index[0]].A
+        A = _Dense(A) if isinstance(A, np.ndarray) else A
+    if hasattr(A, "norms"):
+        L = A.norms()[:, None]
+    else:
+        L = np.array([[_operator_norm(getattr(A, "fast", A), dtype)]])
     if not np.all(L > 0.0):
         raise ValueError("A is numerically zero and y lies outside the radius")
 

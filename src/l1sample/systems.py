@@ -353,8 +353,9 @@ class ChebyshevTransform:
     2004).  Both cost O(m w + n log n) for a kernel of width w and a grid of
     n >= 2N points, against O(m N) for the dense products.  The degrees are
     centred on the grid by the phase exp(-i K0 theta), K0 = N // 2, so that
-    no degree lies near the grid's Nyquist frequency.  Inputs may be real or
-    complex; complex ones are transformed as real and imaginary parts.
+    no degree lies near the grid's Nyquist frequency.  The products take
+    (T, N) and (T, m) stacks, real or complex, row by row; a complex stack
+    runs as its real and imaginary parts, extra real rows of one FFT call.
     Built by ``ChebyshevMatrix``, as its ``fast``, from the angles theta.
     """
 
@@ -387,36 +388,40 @@ class ChebyshevTransform:
     # in place on one grid per call; with the matrix resident, every
     # temporary shows in the process's peak memory.
 
-    def adjoint(self, w: np.ndarray) -> np.ndarray:
-        """A^T w (equal to A^H w, A being real): spread, one FFT, deconvolve."""
-        if np.iscomplexobj(w):
-            return self.adjoint(w.real) + 1j * self.adjoint(w.imag)
-        c = w * self._phase
+    def adjoint(self, W: np.ndarray) -> np.ndarray:
+        """Row t of A^T w_t (equal to A^H w_t, A being real) for a (T, m)
+        stack: spread, one FFT per row, deconvolve."""
+        C = _parts(W) * self._phase
         cells, n = self._cells.ravel(), self._grid_size
-        grid = np.empty(n, dtype=np.complex128)
-        grid.real = np.bincount(cells, (c.real[:, None] * self._table).ravel(), n)
-        grid.imag = np.bincount(cells, (c.imag[:, None] * self._table).ravel(), n)
+        grid = np.empty(C.shape[:-1] + (n,), dtype=np.complex128)
+        for row, c in zip(grid.reshape(-1, n), C.reshape(-1, C.shape[-1])):
+            row.real = np.bincount(cells, (c.real[:, None] * self._table).ravel(), n)
+            row.imag = np.bincount(cells, (c.imag[:, None] * self._table).ravel(), n)
         np.fft.fft(grid, out=grid)
         N, shift = self._scale.shape[0], self._shift
-        out = np.empty(N)
-        out[:shift] = grid.real[n - shift:]
-        out[shift:] = grid.real[:N - shift]
+        out = np.empty(grid.shape[:-1] + (N,))
+        out[..., :shift] = grid.real[..., n - shift:]
+        out[..., shift:] = grid.real[..., :N - shift]
         out *= self._scale
-        return out
+        return _joined(out)
 
-    def forward(self, v: np.ndarray) -> np.ndarray:
-        """A v: deconvolve, one FFT, gather."""
-        if np.iscomplexobj(v):
-            return self.forward(v.real) + 1j * self.forward(v.imag)
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """Row t of A x_t for a (T, N) stack: deconvolve, one FFT per row, gather."""
         N, shift, n = self._scale.shape[0], self._shift, self._grid_size
-        u = self._scale * v
-        grid = np.zeros(n, dtype=np.complex128)
-        grid[:N - shift] = u[shift:]
-        grid[n - shift:] = u[:shift]
+        U = self._scale * _parts(X)
+        grid = np.zeros(U.shape[:-1] + (n,), dtype=np.complex128)
+        grid[..., :N - shift] = U[..., shift:]
+        grid[..., n - shift:] = U[..., :shift]
         np.fft.fft(grid, out=grid)
-        re = (grid.real[self._cells] * self._table).sum(axis=1)
-        im = (grid.imag[self._cells] * self._table).sum(axis=1)
-        return self._phase.real * re - self._phase.imag * im
+        out = np.empty(grid.shape[:-1] + (self.shape[0],))
+        # one row at a time: the gather of one row of the grid's strided real
+        # and imaginary views is contiguous without a copy of the grid, and
+        # its sums round as they do for that row alone
+        for row, o in zip(grid.reshape(-1, n), out.reshape(-1, out.shape[-1])):
+            re = (row.real[self._cells] * self._table).sum(axis=1)
+            im = (row.imag[self._cells] * self._table).sum(axis=1)
+            np.subtract(self._phase.real * re, self._phase.imag * im, out=o)
+        return _joined(out)
 
 
 # Degrees per block of ChebyshevMatrix's tables.  At 1616 x 17377 on two
@@ -431,11 +436,13 @@ _FORWARD_COLUMNS = 32
 
 
 def _parts(v: np.ndarray) -> np.ndarray:
-    """Real input as one row, complex input as its real and imaginary rows."""
-    return np.stack((v.real, v.imag)) if np.iscomplexobj(v) else v[None, :]
+    """Real input as one part, complex input as its real and imaginary
+    parts, along a new first axis."""
+    return np.stack((v.real, v.imag)) if np.iscomplexobj(v) else v[None]
 
 
 def _joined(parts: np.ndarray) -> np.ndarray:
+    """The inverse of ``_parts``."""
     return parts[0] if parts.shape[0] == 1 else parts[0] + 1j * parts[1]
 
 
@@ -463,12 +470,13 @@ class ChebyshevMatrix:
     theta)] and row j of a phase table [cos(j theta) | -sin(j theta)], each
     of length 2m.  The tables hold (N / B + B) 2m numbers instead of m N,
     and both products are the dense sums regrouped, exact up to rounding.
-    Complex input runs as its real and imaginary parts.
+    They take (T, m) and (T, N) stacks, row by row; a complex row runs as
+    its real and imaginary parts.
 
     ``fast`` is the fast stand-in: the ``ChebyshevTransform`` of the same
-    points, accurate to about 1e-12 relative.  ``A @ z`` evaluates the
-    columns on the support of z by direct cosines (``basis_matrix``),
-    independently of the tables and the transform.
+    points, accurate to about 1e-12 relative.  ``A @ z`` (one trial)
+    evaluates the columns on the support of z by direct cosines
+    (``basis_matrix``), independently of the tables and the transform.
     """
 
     dtype = np.dtype(np.float64)
@@ -491,32 +499,38 @@ class ChebyshevMatrix:
         arrays = [*vars(self).values(), *vars(self.fast).values()]  # the transform's too
         return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
-    def adjoint(self, w: np.ndarray) -> np.ndarray:
-        """A^T w (equal to A^H w, A being real): one product of the tables.
+    def adjoint(self, W: np.ndarray) -> np.ndarray:
+        """Row t of A^T w_t (equal to A^H w_t, A being real) for a (T, m)
+        stack: one product of the tables per trial.
 
         Row b of [cos(b B theta) w | sin(b B theta) w] times the phase
-        table's transpose gives the degrees b B .. b B + B - 1.
+        table's transpose gives the degrees b B .. b B + B - 1.  A matrix
+        product's rows round differently with the number of rows in it, so
+        each trial has its own.
         """
-        parts = _parts(np.asarray(w))
-        left = self._outer * np.tile(parts, 2)[:, None, :]
-        out = left.reshape(-1, left.shape[2]) @ self._inner.T
-        N = self.shape[1]
-        return _joined(out.reshape(parts.shape[0], -1)[:, :N] * self._scale)
+        N, rows = self.shape[1], []
+        for w in W:
+            parts = _parts(w)
+            left = self._outer * np.tile(parts, 2)[:, None, :]
+            out = left.reshape(-1, left.shape[2]) @ self._inner.T
+            rows.append(_joined(out.reshape(parts.shape[0], -1)[:, :N] * self._scale))
+        return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """A x over the support of x: rows b and j of the tables for each
-        column k = b B + j, a few columns at a time."""
-        x = np.asarray(x)
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """Row t of A x_t for a (T, N) stack, over the support of x_t: rows
+        b and j of the tables for each column k = b B + j, a few columns at
+        a time."""
         m, B = self.shape[0], self._inner.shape[0]
-        support = x.nonzero()[0]
-        out = np.zeros((2 if np.iscomplexobj(x) else 1, 2 * m))
-        for start in range(0, support.size, _FORWARD_COLUMNS):
-            s = support[start:start + _FORWARD_COLUMNS]
-            b, j = np.divmod(s, B)
-            columns = self._outer[b]
-            columns *= self._inner[j]
-            out += _parts(x[s] * self._scale[s]) @ columns
-        return _joined(out[:, :m] + out[:, m:])
+        out = np.zeros((2 if np.iscomplexobj(X) else 1, X.shape[0], 2 * m))
+        for t, x in enumerate(X):
+            support = x.nonzero()[0]
+            for start in range(0, support.size, _FORWARD_COLUMNS):
+                s = support[start:start + _FORWARD_COLUMNS]
+                b, j = np.divmod(s, B)
+                columns = self._outer[b]
+                columns *= self._inner[j]
+                out[:, t] += _parts(x[s] * self._scale[s]) @ columns
+        return _joined(out[..., :m] + out[..., m:])
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         """A z from the cosines of the support's columns, not the tables."""

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from l1sample.bpdn import (
     BpdnProblem,
-    _adjoint,
-    _forward,
+    _Dense,
     bpdn_orthonormal_oracle,
     soft_threshold_complex,
     solve_bpdn,
@@ -307,9 +306,37 @@ def test_products_match_the_dense_reference(complex_data, nnz):
         A = A + 1j * rng.normal(size=(m, N))
         x = x + 1j * (x != 0) * rng.normal(size=N)
         w = w + 1j * rng.normal(size=m)
-    for got, want in ((_forward(A, x), A @ x), (_adjoint(A, w), A.conj().T @ w)):
+    op = _Dense(A)
+    for got, want in ((op.forward(x[None])[0], A @ x), (op.adjoint(w[None])[0], A.conj().T @ w)):
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# (m, N): one entry, a single block of the tables (N < 256) and several
+@pytest.mark.parametrize("m, N", [(1, 1), (6, 97), (30, 768)])
+@pytest.mark.parametrize("kind", ["dense", "complex dense", "tables", "transform"])
+def test_stacked_products_equal_the_one_row_products(kind, m, N):
+    rng = np.random.default_rng(m + N)
+    A = rng.normal(size=(m, N))
+    tables = ChebyshevMatrix(np.cos(np.pi * rng.random(m)), N)
+    op = {"dense": _Dense(A), "complex dense": _Dense(A + 1j * rng.normal(size=(m, N))),
+          "tables": tables, "transform": tables.fast}[kind]
+    X = rng.normal(size=(2, N)) * (rng.random((2, N)) < 0.4)
+    W = rng.normal(size=(2, m))
+    for product, real in ((op.forward, X), (op.adjoint, W)):
+        # a stack of two real rows and one of two complex rows, each row
+        # against its own stack of one: equal bit for bit, so a trial's
+        # value does not depend on the trials stacked with it
+        for stack in (real, real + 1j * real[::-1]):
+            got = product(stack)
+            for t in range(2):
+                assert np.array_equal(got[t], product(stack[t:t + 1])[0])
+        if kind == "transform":
+            # complex data runs as real rows: its parts are the real products
+            complex_row = real[:1] + 1j * real[1:]
+            got = product(complex_row)
+            assert np.array_equal(got.real, product(real[:1]))
+            assert np.array_equal(got.imag, product(real[1:]))
 
 
 def _sparse_recovery_instance(rng, m, N, complex_data, s=4, max_iters=50_000):
