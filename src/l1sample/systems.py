@@ -18,6 +18,7 @@ Four families are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -235,7 +236,10 @@ def _point_array(system: System, points) -> np.ndarray:
                 raise ValueError("point dimension does not match the system")
         if pts.ndim != 2 or pts.shape[1] != d:
             raise ValueError("point dimension does not match the system")
-        return np.mod(pts, 1.0)
+        # the bits of np.mod(pts, 1.0), which rounds the same exact a - floor(a)
+        # once, at a tenth of its cost, in one points-sized array
+        canonical = np.floor(pts)
+        return np.subtract(pts, canonical, out=canonical)
     pts = np.atleast_1d(pts)
     if pts.ndim != 1:
         raise ValueError("polynomial systems take scalar points in [-1, 1]")
@@ -309,11 +313,79 @@ def basis_matrix(system: System, indices, points) -> np.ndarray:
         A *= _chebyshev_scale(idx)
         return A
     max_degree = int(idx.max()) if idx.size else 0
-    V = legvander(pts, max_degree)
-    A = V[:, idx] * np.sqrt(idx + 0.5)
+    # take, not V[:, idx]: a fancy index on the columns returns Fortran order
+    A = legvander(pts, max_degree).take(idx, axis=1)
+    A *= np.sqrt(idx + 0.5)
     if system.kind == LEGENDRE_PRECONDITIONED:
-        A = A * _legendre_weight(pts)[:, None]
+        A *= _legendre_weight(pts)[:, None]
     return A
+
+
+def _power_table(u: np.ndarray, n: int) -> np.ndarray:
+    """Rows u^0 .. u^(n-1) by successive products, then their conjugates."""
+    table = np.empty((2 * n, u.shape[0]), dtype=np.complex128)
+    table[0] = 1.0
+    for i in range(1, n):
+        np.multiply(table[i - 1], u, out=table[i])
+    np.conjugate(table[:n], out=table[n:])
+    return table
+
+
+# Largest base of _fourier_synthesis's digits.  Up to |k_a| = 1023 the digits
+# are the two of k = b B + j; past it a digit is added instead, so the tables
+# grow with log |k_a| rather than sqrt |k_a|.  Two terms with |k| <= 10^6 at
+# 5,000 points peaked at 251 MB (0.32 s) with two digits of base 1001, at
+# 8.4 MB (0.011 s) with four of base 32, and at 0.5 MB with the direct
+# exponentials.
+_RADIX = 32
+
+
+def _fourier_synthesis(indices: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """sum_k c_k exp(2 pi i <k, x>) at each row x of ``points`` (canonical,
+    (P, d)) from per-axis power tables: d exponentials per point instead of
+    one per point and term.
+
+    On axis a, with u = exp(2 pi i x_a) and B = ceil(sqrt(max |k_a| + 1)),
+    the tables u^j (0 <= j < B) and u^(b B) are built by successive
+    products, and the factor of |k_a| = b B + j is u^(b B) u^j, conjugated
+    when k_a < 0.  (Past max |k_a| = 1023, B is ``_RADIX`` and |k_a| has as
+    many base-B digits as it needs, one table each.)  The factors multiply
+    over the axes, and the terms sum against the coefficients.
+
+    Accuracy, with eps = 2^-53: u is within about 16 eps of the exact
+    exp(2 pi i x_a) (the rounded phase 2 pi x_a, then the exponential), and
+    the |k_a|-th power carries that error |k_a| times, together with one
+    complex product's error (at most sqrt(5) eps) for each of the at most
+    |k_a| + L products behind it, L being its number of digits.  So each
+    term is within 24 (|k|_1 + d) eps of its exact value, and the sum
+    within (24 (max |k|_1 + d) + 2 K) eps sum_k |c_k| for K terms.  The
+    direct exponential (``basis_matrix``) rounds the phase 2 pi <k, x> at
+    its own size, so its error also grows like |k|_1 eps.  Against a long-double evaluation of 30 terms with
+    |k_a| <= 1000 at 4,000 points, the tables' RMS error was 292 / 312 / 494
+    eps sum_k |c_k| in d = 1 / 2 / 3, the direct formula's 358 / 395 / 679,
+    and the tables' largest error 1,677 / 1,498 / 2,173 against bounds of
+    23,028 / 46,620 / 70,764.  At |k_a| <= 10^6 all of these grow about a
+    thousandfold.
+    """
+    terms = None
+    for k, x in zip(indices.T, points.T):
+        rest, negative = np.abs(k), k < 0
+        B = min(math.isqrt(int(rest.max())) + 1, _RADIX)
+        u = np.exp(2j * np.pi * x)
+        while True:
+            rest, digit = np.divmod(rest, B)
+            last = not rest.any()
+            # the last digit's table stops at the largest digit it holds
+            table = _power_table(u, int(digit.max()) + 1 if last else B)
+            factor = table[digit + (table.shape[0] // 2) * negative]
+            if terms is None:
+                terms = factor
+            else:
+                terms *= factor
+            if last:
+                break
+            u = table[B - 1] * u
+    return values @ terms
 
 
 # Kernel of the fast Chebyshev products: psi(z) = exp(beta (sqrt(1 - z^2) - 1))

@@ -1,5 +1,6 @@
 """Tests for the l1-minimization solver and its orthonormal-matrix oracle."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from l1sample.bpdn import (
     BpdnProblem,
+    BpdnSolution,
     _Dense,
     bpdn_orthonormal_oracle,
     soft_threshold_complex,
@@ -359,6 +361,19 @@ def test_certified_residual_equals_the_dense_recompute(complex_data):
         assert sol.certified
         dense = np.linalg.norm(prob.A @ sol.z - prob.y)
         assert abs(sol.residual_norm - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("complex_data", [True, False])
+def test_a_fortran_ordered_matrix_solves_like_its_c_ordered_copy(complex_data):
+    rng = np.random.default_rng(71 if complex_data else 72)
+    prob = _sparse_recovery_instance(rng, 30, 120, complex_data)
+    assert BpdnProblem(prob.A, prob.y, eta=prob.eta).A is prob.A  # not copied
+    fortran = BpdnProblem(np.asfortranarray(prob.A), prob.y, eta=prob.eta,
+                          step_ratio=prob.step_ratio)
+    assert fortran.A.flags.c_contiguous
+    a, b = solve_bpdn(prob), solve_bpdn(fortran)
+    for field in dataclasses.fields(BpdnSolution):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
 def test_solver_allocates_well_under_one_copy_of_A():

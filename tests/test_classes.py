@@ -7,6 +7,7 @@ from l1sample import (
     FunctionClass,
     analytic_best_term_bound,
     analytic_tail_bound,
+    basis_matrix,
     chebyshev_system,
     class_norm,
     default_system,
@@ -24,6 +25,7 @@ from l1sample import (
     wiener_iso,
     wiener_mixed,
 )
+from l1sample.classes import _EVAL_CHUNK
 
 from util import chebyshev_value
 
@@ -232,6 +234,147 @@ def test_evaluate_scalar_and_empty():
     assert isinstance(out, complex)
     empty = CoefficientExpansion(fourier_system(1), {})
     assert evaluate_function(empty, 0.3) == 0j
+
+
+# ---------------------------------------------------------------------------
+# Fourier synthesis from per-axis power tables
+
+
+def _synthesis_bound(f: CoefficientExpansion) -> float:
+    """The error bound of systems._fourier_synthesis: (24 (max |k|_1 + d)
+    + 2 K) eps sum |c_k|, eps = 2^-53, for K terms."""
+    idx, values = f.support_array(), f.values_array()
+    norm1 = int(np.abs(idx).sum(axis=1).max())
+    return (24 * (norm1 + idx.shape[1]) + 2 * len(values)) * 2.0**-53 * np.abs(values).sum()
+
+
+def _random_expansion(indices, seed: int) -> CoefficientExpansion:
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(len(indices)) + 1j * rng.standard_normal(len(indices))
+    keys = [tuple(int(v) for v in np.atleast_1d(k)) for k in indices]
+    return CoefficientExpansion(fourier_system(len(keys[0])), dict(zip(keys, values)))
+
+
+def _assert_matches_dense(f: CoefficientExpansion, points) -> None:
+    # the dense formula's own error grows like the tables', so the two may
+    # differ by twice the bound
+    dense = basis_matrix(f.system, f.support_array(), points) @ f.values_array()
+    vals = evaluate_function(f, points)
+    assert vals.shape == dense.shape
+    assert np.abs(vals - dense).max() <= 2 * _synthesis_bound(f)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_synthesis_matches_the_dense_matrix(d):
+    rng = np.random.default_rng(80 + d)
+    indices = np.unique(rng.integers(-40, 41, size=(25, d)), axis=0)
+    f = _random_expansion(indices, 81 + d)
+    _assert_matches_dense(f, rng.random((500, d)))
+
+
+@pytest.mark.parametrize("indices", [
+    [(0,)],
+    [(-7,)],
+    [(5,)],
+    [(-3,), (0,), (4,)],
+    [(-1000,), (-1,), (999,), (1000,)],
+    [(0, 0)],
+    [(-5, 0), (0, -5), (-2, -3)],
+    [(3, -1000), (-1000, 1000), (7, 8), (0, 0)],
+    [(-1, 0, 1), (1000, -2, 0), (0, 0, -999)],
+    [(1024,), (-1023,), (5,)],  # past two digits of base 32
+    [(10**6, -3), (-999_999, 10**5), (1, 1)],
+])
+def test_synthesis_of_zero_negative_mixed_and_large_indices(indices):
+    d = len(indices[0])
+    f = _random_expansion(indices, len(indices))
+    _assert_matches_dense(f, np.random.default_rng(d).random((300, d)))
+
+
+def test_synthesis_at_points_outside_the_cube_and_on_a_lattice():
+    f = _random_expansion([(-4, 2), (0, 3), (5, -5), (1, 0)], 7)
+    rng = np.random.default_rng(8)
+    x = rng.random((200, 2))
+    shifted = x + rng.integers(-5, 6, size=x.shape)
+    _assert_matches_dense(f, shifted)
+    assert np.abs(evaluate_function(f, shifted) - evaluate_function(f, x)).max() <= (
+        2 * _synthesis_bound(f))
+    q = 11
+    grid = np.stack(np.meshgrid(np.arange(q), np.arange(q), indexing="ij"), axis=-1)
+    _assert_matches_dense(f, grid.reshape(-1, 2) / q)
+    # at the origin every factor is exactly 1
+    assert abs(evaluate_function(f, (0.0, 0.0)) - f.values_array().sum()) <= 1e-15
+
+
+def test_synthesis_at_a_scalar_point_and_of_the_empty_expansion():
+    f = _random_expansion([(-4, 2), (0, 3)], 9)
+    value = evaluate_function(f, (0.3, -0.45))
+    assert isinstance(value, complex)
+    assert value == evaluate_function(f, np.array([[0.3, -0.45]]))[0]
+    g = _random_expansion([(2,), (-3,)], 10)
+    assert evaluate_function(g, 0.7) == evaluate_function(g, [0.7])[0]
+    empty = CoefficientExpansion(fourier_system(2), {})
+    assert evaluate_function(empty, (0.1, 0.2)) == 0j
+    out = evaluate_function(empty, np.zeros((5, 2)))
+    assert out.shape == (5,) and not out.any()
+
+
+@pytest.mark.parametrize("count", [1, _EVAL_CHUNK, _EVAL_CHUNK + 1, 3 * _EVAL_CHUNK + 17])
+def test_synthesis_over_one_and_several_blocks(count):
+    f = _random_expansion([(-6, 1), (2, 30), (0, 0), (-29, -7)], count)
+    _assert_matches_dense(f, np.random.default_rng(count).random((count, 2)))
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.sets(st.tuples(*[st.integers(-300, 300)] * d), min_size=1, max_size=6),
+        st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * d), min_size=1, max_size=20),
+    )),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_synthesis_matches_the_dense_matrix_anywhere(case, seed):
+    indices, points = case
+    _assert_matches_dense(_random_expansion(sorted(indices), seed), np.array(points))
+
+
+def _long_double_values(idx: np.ndarray, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sum_k c_k exp(2 pi i <k, x>) in long double from the turns k_a x_a
+    mod 1.  x_a splits at 2^-26, so each part's product with |k_a| < 2^26 is
+    exact for x_a >= 1/2 and within 2^-53 turns below it."""
+    high = np.floor(pts * 2.0**26) / 2.0**26
+    turns = np.zeros((pts.shape[0], idx.shape[0]), dtype=np.longdouble)
+    for part in (high, pts - high):
+        for a in range(pts.shape[1]):
+            turns += np.multiply.outer(part[:, a], idx[:, a].astype(float)) % 1
+    phase = 8 * np.arctan(np.longdouble(1)) * (turns % 1)
+    return ((np.cos(phase) + 1j * np.sin(phase)) * values).sum(axis=1)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended long double")
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("largest", [1000, 10**6])
+def test_synthesis_is_no_less_accurate_than_the_direct_exponential(d, largest):
+    rng = np.random.default_rng(90 + d)
+    f = _random_expansion(np.unique(rng.integers(-largest, largest + 1, size=(30, d)), axis=0), d)
+    idx, values = f.support_array(), f.values_array()
+    pts = rng.random((4000, d))
+    reference = _long_double_values(idx, values, pts)
+    tables = np.abs(evaluate_function(f, pts) - reference).astype(float)
+    direct = np.abs(basis_matrix(f.system, idx, pts) @ values - reference).astype(float)
+    assert tables.max() <= _synthesis_bound(f)
+    assert np.sqrt(np.mean(tables**2)) <= np.sqrt(np.mean(direct**2))
+
+
+@pytest.mark.parametrize("system", [
+    chebyshev_system(), legendre_preconditioned_system(), legendre_raw_system()])
+def test_polynomial_values_are_the_dense_products_in_every_block(system):
+    rng = np.random.default_rng(11)
+    f = CoefficientExpansion(system, {int(k): complex(*rng.standard_normal(2))
+                                      for k in rng.choice(60, 9, replace=False)})
+    x = rng.uniform(-1.0, 1.0, 2 * _EVAL_CHUNK + 5)
+    dense = basis_matrix(system, f.support_array(), x) @ f.values_array()
+    assert np.array_equal(evaluate_function(f, x), dense)
 
 
 def test_truncation_error_bound():

@@ -20,7 +20,7 @@ from l1sample import (
     uniform_bound,
 )
 
-from l1sample.systems import _BLOCK, ChebyshevMatrix, LatticeFourier
+from l1sample.systems import _BLOCK, ChebyshevMatrix, LatticeFourier, _point_array
 
 from util import arcsine_cdf, chebyshev_value, ks_statistic, legendre_value, uniform_cdf
 
@@ -175,6 +175,32 @@ def test_legendre_preconditioned_frozen_value():
     # degree 0 at x=0: sqrt(pi) * sqrt(1/2) = sqrt(pi/2)
     val = evaluate_basis(legendre_preconditioned_system(), 0, 0.0)
     assert abs(val - 1.2533141373155003) < 5e-16
+
+
+def test_fourier_points_are_reduced_like_np_mod():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([
+        rng.standard_normal(20_000) * 10.0 ** rng.integers(-30, 30, 20_000),
+        rng.integers(-3, 4, 100).astype(float),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+         np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0)],
+    ])
+    reduced = _point_array(fourier_system(1), x)[:, 0]
+    assert np.array_equal(reduced.view(np.int64), np.mod(x, 1.0).view(np.int64))
+
+
+@pytest.mark.parametrize("system, indices, points", [
+    (fourier_system(1), [(-2,), (0,), (5,)], np.linspace(0.0, 0.9, 7)),
+    (fourier_system(2), [(1, -2), (0, 3), (4, 4)], np.random.default_rng(0).random((7, 2))),
+    (chebyshev_system(), [0, 2, 5], np.linspace(-1.0, 1.0, 7)),
+    (legendre_preconditioned_system(), [0, 2, 5], np.linspace(-1.0, 1.0, 7)),
+    (legendre_raw_system(), [0, 2, 5], np.linspace(-1.0, 1.0, 7)),
+])
+def test_basis_matrix_is_c_contiguous(system, indices, points):
+    # the solver's forward product gathers the support's columns row by row
+    A = basis_matrix(system, indices, points)
+    assert A.shape == (7, 3)
+    assert A.flags.c_contiguous
 
 
 def test_evaluate_basis_matches_matrix():

@@ -2,7 +2,9 @@
 
 Runs small rate sweeps, phase tables, ``FunctionRecovery`` fits and
 ``l1sample recover`` calls through the public API and the CLI entry point,
-and prints every report in full.
+and prints every report in full.  After each fit it prints ``predict`` at
+fixed points; one d=2 fit predicts at more points than ``evaluate_function``
+takes in one block, so the comparison covers the blocked synthesis.
 Run it on two checkouts and compare the files:
 
     PYTHONPATH=src python tools/dump_outputs.py > before.txt
@@ -92,7 +94,8 @@ PHASE_CASES = {
 
 # estimator fits with the default regime (theorem=None) and cut-off (M=None):
 # (estimator parameters, true function's class, its support, system the points
-# are drawn for, point count, seed, factor the samples are multiplied by)
+# are drawn for, point count, seed, factor the samples are multiplied by,
+# optionally the number of points predict is printed at)
 FIT_CASES = {
     "fit fourier d=2": (
         dict(system="fourier", dim=2, class_kind="wiener_mixed", r=1.0, n=2),
@@ -113,7 +116,16 @@ FIT_CASES = {
              r=1.0, p=1.0, n=6),
         poly_wiener(0.0, 1.0, 1.0), [0, 1, 3, 4], legendre_preconditioned_system(),
         40, 15, 1),
+    # predict at more points than one block of evaluate_function
+    "fit fourier d=2 predict 5000": (
+        dict(system="fourier", dim=2, class_kind="wiener_mixed", r=1.0, n=3),
+        wiener_mixed(1.0, 2), [(0, 0), (3, -4), (-5, 2), (6, 6), (-1, -7)],
+        fourier_system(2), 80, 17, 1, 5000),
 }
+# points predict is printed at by default; above that, every PREDICT_STRIDE-th
+# value is printed along with the norm and the largest modulus of all
+PREDICT_POINTS = 7
+PREDICT_STRIDE = 25
 
 RECOVER_BASE = ["recover", "--class-kind", "wiener_mixed", "--r", "1", "--n", "4",
                 "--step-ratio", str(STEP)]
@@ -128,15 +140,26 @@ RECOVER_CASES["recover fourier_grid M=6"] = RECOVER_BASE + [
 
 
 def _fit(params: dict, klass, support, point_system, m: int, seed: int,
-         factor: complex) -> str:
+         factor: complex, predict_points: int = PREDICT_POINTS) -> str:
     est = FunctionRecovery(c_eta=1e-3, step_ratio=STEP, **params)
     f = random_unit_function(klass, explicit_index_set(support), seed=seed)
     pts = draw_points(point_system, m, SamplePlan(seed))
     est.fit(pts, factor * evaluate_function(f, pts))
-    coefficients = [[z.real, z.imag] for z in np.asarray(est.coefficients_)]
+    values = est.predict(draw_points(point_system, predict_points, SamplePlan(seed + 1000)))
+    if predict_points > PREDICT_POINTS:
+        predicted = (f"predict at {predict_points} points: norm {float(np.linalg.norm(values))!r}"
+                     f" max modulus {float(np.abs(values).max())!r}\n"
+                     f"predict every {PREDICT_STRIDE}th {_pairs(values[::PREDICT_STRIDE])}\n")
+    else:
+        predicted = f"predict {_pairs(values)}\n"
     return (f"theorem {est.config_.theorem} M {est.config_.M}\n"
-            f"coefficients {json.dumps(coefficients)}\n"
+            f"coefficients {_pairs(est.coefficients_)}\n" + predicted
             + json.dumps(est.result_.to_json(), indent=2, sort_keys=True) + "\n")
+
+
+def _pairs(values) -> str:
+    """Complex values as a JSON list of [real, imaginary] pairs."""
+    return json.dumps([[z.real, z.imag] for z in np.asarray(values)])
 
 
 def _section(title: str, text: str) -> None:
