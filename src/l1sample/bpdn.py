@@ -100,7 +100,7 @@ def soft_threshold_complex(v: np.ndarray, t: float) -> np.ndarray:
 
     Real input stays real.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold must be >= 0")
     v = np.asarray(v)
     if t == 0:

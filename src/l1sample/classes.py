@@ -343,6 +343,8 @@ def evaluate_function(f: CoefficientExpansion, points):
                 vals[start:stop] = _fourier_synthesis(support, values, block)
             else:
                 vals[start:stop] = basis_matrix(f.system, support, pts[start:stop]) @ values
+    else:
+        _point_array(f.system, pts)  # no terms, but the points are still checked
     return complex(vals[0]) if scalar else vals
 
 

@@ -8,6 +8,9 @@ a dependency on any particular ML framework.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
+from typing import Optional, Union
+
 import numpy as np
 
 from .classes import (
@@ -38,10 +41,14 @@ def check_sample_points(X, system: System) -> np.ndarray:
 
     Returns shape (m, d) for Fourier systems and (m,) for polynomial ones.
     """
-    pts = _point_array(system, X)
-    if pts.size == 0:
+    return _point_array(system, _nonempty(X))
+
+
+def _nonempty(X) -> np.ndarray:
+    X = np.asarray(X)
+    if X.size == 0:
         raise ValueError("need at least one sample point")
-    return pts
+    return X
 
 
 def check_sample_values(y, n_points: int) -> np.ndarray:
@@ -54,12 +61,7 @@ def check_sample_values(y, n_points: int) -> np.ndarray:
     return vals
 
 
-_PARAM_NAMES = (
-    "system", "dim", "theorem", "class_kind", "r", "p", "alpha",
-    "n", "M", "c_sample", "c_eta", "eta", "obj_tol", "max_iters", "step_ratio",
-)
-
-
+@dataclass(eq=False)
 class FunctionRecovery:
     """Recover a sparse coefficient expansion from point samples.
 
@@ -67,55 +69,41 @@ class FunctionRecovery:
     string or a ``System``), the sampling regime, the function-class
     parameters driving the automatic noise level, the target sparsity n and
     cut-off M.  ``eta`` overrides the automatic noise level; ``M=None``
-    applies the class's cut-off rule to n.
+    applies the class's cut-off rule to n.  A class is built only when one
+    of the two is left out, and the config then checks it against the
+    regime: its family and, on the torus, its dimension must be the
+    system's.
 
     After ``fit(X, y)`` the instance exposes ``expansion_`` (the recovered
     expansion), ``coefficients_`` (aligned to ``index_set_``), and
-    ``result_`` (the full recovery record).
+    ``result_`` (the full recovery record).  Instances compare by identity.
     """
 
-    def __init__(
-        self,
-        system: str = FOURIER,
-        dim: int = 1,
-        theorem: str = None,
-        class_kind: str = "wiener_mixed",
-        r: float = 1.0,
-        p: float = None,
-        alpha: float = None,
-        n: int = 4,
-        M: int = None,
-        c_sample: float = 1.0,
-        c_eta: float = 1.0,
-        eta: float = None,
-        obj_tol: float = 1e-7,
-        max_iters: int = 50_000,
-        step_ratio: float = 1.0,
-    ):
-        self.system = system
-        self.dim = dim
-        self.theorem = theorem
-        self.class_kind = class_kind
-        self.r = r
-        self.p = p
-        self.alpha = alpha
-        self.n = n
-        self.M = M
-        self.c_sample = c_sample
-        self.c_eta = c_eta
-        self.eta = eta
-        self.obj_tol = obj_tol
-        self.max_iters = max_iters
-        self.step_ratio = step_ratio
+    system: Union[str, System] = FOURIER
+    dim: int = 1
+    theorem: Optional[str] = None
+    class_kind: str = "wiener_mixed"
+    r: float = 1.0
+    p: Optional[float] = None
+    alpha: Optional[float] = None
+    n: int = 4
+    M: Optional[int] = None
+    c_sample: float = 1.0
+    c_eta: float = 1.0
+    eta: Optional[float] = None
+    obj_tol: float = 1e-7
+    max_iters: int = 50_000
+    step_ratio: float = 1.0
 
     # -- parameter protocol -------------------------------------------------
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in _PARAM_NAMES}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params) -> "FunctionRecovery":
+        names = {f.name for f in fields(self)}
         for name, value in params.items():
-            if name not in _PARAM_NAMES:
+            if name not in names:
                 raise ValueError(
                     f"invalid parameter {name!r} for FunctionRecovery"
                 )
@@ -181,21 +169,20 @@ class FunctionRecovery:
     # -- inference ----------------------------------------------------------
 
     def predict(self, X) -> np.ndarray:
-        """Values of the recovered expansion at new points (complex dtype)."""
+        """Values of the recovered expansion at new points (complex dtype),
+        checked and reduced a block at a time by ``evaluate_function``."""
         self._check_fitted()
-        pts = check_sample_points(X, self.expansion_.system)
-        return np.atleast_1d(evaluate_function(self.expansion_, pts))
+        return np.atleast_1d(evaluate_function(self.expansion_, _nonempty(X)))
 
     def transform(self, X) -> np.ndarray:
         """Basis features over the fitted index set, one row per point."""
         self._check_fitted()
-        pts = check_sample_points(X, self.config_.system)
-        return basis_matrix(self.config_.system, self.index_set_, pts)
+        return basis_matrix(self.config_.system, self.index_set_, _nonempty(X))
 
     def score(self, X, y) -> float:
         """Negative mean squared error of the prediction (higher is better)."""
         self._check_fitted()
         pts = check_sample_points(X, self.expansion_.system)
         vals = check_sample_values(y, pts.shape[0])
-        pred = self.predict(pts)
+        pred = evaluate_function(self.expansion_, pts)
         return float(-np.mean(np.abs(pred - vals) ** 2))

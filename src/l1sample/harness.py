@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence, TextIO, Tuple, Union
 import numpy as np
 
 from .classes import (
-    POLY_WIENER,
     FunctionClass,
     best_term_exponents,
     default_system,
@@ -27,12 +26,9 @@ from .classes import (
     tail_exponent,
 )
 from .recovery import (
-    _LEGENDRE_KINDS,
-    CHEBYSHEV_REGIME,
-    FOURIER3,
-    LEGENDRE_REGIME,
     RecoveryConfig,
     RecoveryResult,
+    default_regime,
     recover,
     regime_plan,
     regime_system,
@@ -52,10 +48,8 @@ PHASE_SUCCESS_THRESHOLD = 1e-4
 
 
 def default_theorem(klass: FunctionClass) -> str:
-    """The sampling regime a class is analyzed under."""
-    if klass.kind == POLY_WIENER:
-        return CHEBYSHEV_REGIME if klass.alpha == -0.5 else LEGENDRE_REGIME
-    return FOURIER3
+    """The sampling regime a class is analyzed under: its family's default."""
+    return default_regime(default_system(klass))
 
 
 def m_rule_exponent(klass: FunctionClass) -> float:
@@ -111,13 +105,13 @@ def rate_transfer(c1: float, alpha: float, r: float, beta: float) -> RateTransfe
     For non-increasing a_m this gives a_m <= C' m^(-r) log(m)^(beta + alpha r)
     with C' = C * (4 c1 2^alpha)^r; the multiplier is reported separately.
     """
-    if c1 < 1:
+    if not c1 >= 1:
         raise ValueError("c1 must be >= 1")
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be >= 0")
     constant = float((4.0 * c1 * 2.0**alpha) ** r)
     return RateTransferResult(-r, beta + alpha * r, constant)
@@ -297,14 +291,8 @@ def _recovery_config(config: ExperimentConfig, n: int, M: Optional[int] = None) 
     """A sweep's recovery set-up at sparsity n; M defaults to the class's rule."""
     klass = config.klass
     theorem = config.theorem or default_theorem(klass)
-    system, expected = regime_system(theorem, klass), default_system(klass)
-    # the preconditioned and the raw Legendre systems share coefficients
-    if system.kind != expected.kind and not {system.kind, expected.kind} <= _LEGENDRE_KINDS:
-        raise ValueError(
-            f"regime {theorem!r} samples the {system.kind} system, but this "
-            f"{klass.kind} class expands in the {expected.kind} system")
     return RecoveryConfig(
-        system=system,
+        system=regime_system(theorem, klass),
         theorem=theorem,
         n=n,
         M=box_parameter(klass, n) if M is None else M,

@@ -96,7 +96,7 @@ def stechkin_bound(p: float, n: int, quasi_norm: float = 1.0) -> float:
         raise ValueError("need 0 < p <= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if quasi_norm < 0:
+    if not quasi_norm >= 0:
         raise ValueError("quasi_norm must be nonnegative")
     return float(n ** (1.0 - 1.0 / p) * quasi_norm)
 
@@ -115,7 +115,7 @@ class DiagonalSpec:
     def __post_init__(self) -> None:
         if self.kind not in (POWER, GEOMETRIC):
             raise ValueError(f"unknown diagonal kind: {self.kind!r}")
-        if self.kind == POWER and self.parameter < 0:
+        if self.kind == POWER and not self.parameter >= 0:
             raise ValueError("power decay needs exponent >= 0")
         if self.kind == GEOMETRIC and not 0 < self.parameter <= 1:
             raise ValueError("geometric decay needs ratio in (0, 1]")

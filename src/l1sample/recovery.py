@@ -31,6 +31,7 @@ from .classes import (
     _guarded_log,
     analytic_best_term_bound,
     analytic_tail_bound,
+    default_system,
 )
 from .systems import (
     CHEBYSHEV,
@@ -82,12 +83,18 @@ def _regime(theorem: str) -> _Regime:
         raise ValueError(f"unknown sampling regime: {theorem!r}") from None
 
 
+_LEGENDRE_KINDS = frozenset({LEGENDRE_PRECONDITIONED, LEGENDRE_RAW})
+
+
+def _family(kind: str) -> str:
+    """A system kind; the Legendre kinds, which share coefficients, are one family."""
+    return LEGENDRE_RAW if kind in _LEGENDRE_KINDS else kind
+
+
 def default_regime(system: System) -> str:
-    """The sampling regime a system is recovered under by default."""
-    for theorem, regime in _REGIMES.items():
-        if regime.system == system.kind:
-            return theorem
-    raise ValueError(f"no sampling regime for system kind {system.kind!r}")
+    """The sampling regime a system's family is recovered under by default."""
+    return next(theorem for theorem, regime in _REGIMES.items()
+                if _family(regime.system) == _family(system.kind))
 
 
 def regime_system(theorem: str, klass: FunctionClass) -> System:
@@ -98,6 +105,8 @@ def regime_system(theorem: str, klass: FunctionClass) -> System:
 
 @dataclass(frozen=True)
 class RecoveryConfig:
+    """A recovery's set-up; a class must match the regime's family and torus dimension."""
+
     system: System
     theorem: str
     n: int
@@ -122,10 +131,20 @@ class RecoveryConfig:
             raise ValueError("n must be >= 1")
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if self.c_sample <= 0 or self.c_eta <= 0:
+        if not (self.c_sample > 0 and self.c_eta > 0):
             raise ValueError("leading constants must be positive")
-        if self.eta_override is not None and self.eta_override < 0:
+        if self.eta_override is not None and not self.eta_override >= 0:
             raise ValueError("eta must be >= 0")
+        if self.klass is not None:
+            expected = default_system(self.klass)
+            if _family(expected.kind) != _family(regime.system):
+                raise ValueError(
+                    f"regime {self.theorem!r} samples the {regime.system} system, but this "
+                    f"{self.klass.kind} class expands in the {expected.kind} system")
+            if expected.dim != self.system.dim:
+                raise ValueError(
+                    f"this {self.klass.kind} class has dimension {self.klass.d}, "
+                    f"but the system has dimension {self.system.dim}")
 
 
 def search_set(config: RecoveryConfig) -> IndexSet:
@@ -289,9 +308,6 @@ def recover(
 
 # ---------------------------------------------------------------------------
 # coefficient-space error
-
-
-_LEGENDRE_KINDS = frozenset({LEGENDRE_PRECONDITIONED, LEGENDRE_RAW})
 
 
 def _as_comparable(f: CoefficientExpansion, g: CoefficientExpansion):

@@ -19,7 +19,7 @@ Four families are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -141,6 +141,11 @@ class IndexSet:
     d: int = 1
     M: int = 0
     members: Optional[tuple] = None
+    # the explicit members as a set, built once for membership tests
+    _member_set: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_member_set", frozenset(self.members or ()))
 
     @property
     def half_width(self) -> int:
@@ -166,10 +171,7 @@ class IndexSet:
             return max(abs(k) for k in key) <= self.half_width
         if self.kind == DEGREES:
             return isinstance(key, int) and 0 <= key <= self.M
-        return key in self._member_set()
-
-    def _member_set(self):
-        return frozenset(self.members)
+        return key in self._member_set
 
     def indices(self) -> np.ndarray:
         """All indices as an array: shape (N, d) for boxes, (N,) for degrees."""

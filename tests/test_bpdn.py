@@ -110,6 +110,11 @@ def test_soft_threshold_basics():
         soft_threshold_complex(v, -0.5)
 
 
+def test_soft_threshold_rejects_nan():
+    with pytest.raises(ValueError, match="threshold must be >= 0"):
+        soft_threshold_complex(np.array([3.0, -2.0]), float("nan"))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     re=st.floats(-50, 50),

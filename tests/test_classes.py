@@ -236,6 +236,16 @@ def test_evaluate_scalar_and_empty():
     assert evaluate_function(empty, 0.3) == 0j
 
 
+@pytest.mark.parametrize("system, points", [
+    (fourier_system(1), [0.1, np.nan]),
+    (fourier_system(2), np.zeros((3, 3))),
+    (chebyshev_system(), [0.0, 1.5]),
+])
+def test_evaluate_empty_expansion_still_checks_points(system, points):
+    with pytest.raises(ValueError):
+        evaluate_function(CoefficientExpansion(system, {}), points)
+
+
 # ---------------------------------------------------------------------------
 # Fourier synthesis from per-axis power tables
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from l1sample import cli
+from l1sample import cli, harness
 from l1sample.classes import wiener_mixed
 from l1sample.harness import ExperimentConfig, RateReport, run_rate_experiment
 from l1sample.oracles import pietsch_diag_an, power_decay, sigma_s_l1, stechkin_bound
@@ -248,6 +248,13 @@ def test_rates_json_to_file(tmp_path, capsys):
 
 
 TINY_PHASE = ["phase", "--N", "9", "--s", "1", "--m-grid", "27", "--trials", "2"]
+
+
+def test_rates_nan_constant_exits_2_before_any_trial(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "recover", lambda *args, **kwargs: pytest.fail("a trial ran"))
+    code, _out, err = run_cli(TINY_RATES + ["--c-eta", "nan"], capsys)
+    assert code == 2
+    assert "leading constants must be positive" in err
 
 
 def test_rates_bad_format_exits_2(tmp_path, monkeypatch, capsys):

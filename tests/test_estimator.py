@@ -1,9 +1,12 @@
 """Tests for the fit/predict estimator front end."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from l1sample.classes import CoefficientExpansion, evaluate_function
+from l1sample import estimator
+from l1sample.classes import _EVAL_CHUNK, CoefficientExpansion, evaluate_function
 from l1sample.estimator import (
     FunctionRecovery,
     NotFittedError,
@@ -67,6 +70,16 @@ def test_set_params_updates_and_rejects_unknown():
         est.set_params(sparsity=3)
 
 
+def test_instances_compare_by_identity_stay_hashable_and_show_their_parameters():
+    a, b = FunctionRecovery(n=3), FunctionRecovery(n=3)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+    a.set_params(n=5)
+    assert hash(a) == hash(a) and a in {a}
+    assert repr(b).startswith("FunctionRecovery(system='fourier', dim=1,")
+    assert "n=3," in repr(b)
+
+
 # ---------------------------------------------------------------------------
 # fitting and inference
 
@@ -104,6 +117,43 @@ def test_auto_cutoff_uses_class_rule():
                            r=1.0, n=16, M=None, eta=0.0)
     config = est._build_config()
     assert config.M == 64  # 16^(3/2)
+
+
+def test_class_of_another_family_fails_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(estimator, "recover", no_solve)
+    x = np.linspace(-0.9, 0.9, 20)
+    # the default class, wiener_mixed, expands in the Fourier system
+    est = FunctionRecovery(system="chebyshev", n=4)
+    with pytest.raises(ValueError) as info:
+        est.fit(x, np.cos(x))
+    assert "samples the chebyshev system" in str(info.value)
+    assert "expands in the fourier system" in str(info.value)
+    with pytest.raises(ValueError, match="dimension 1, but the system has dimension 2"):
+        FunctionRecovery(system=fourier_system(2), n=4).fit(np.zeros((5, 2)), np.ones(5))
+
+
+def test_predict_holds_no_reduced_copy_of_the_points():
+    f = CoefficientExpansion(fourier_system(2), {
+        (0, 0): 1.0, (1, -2): 0.5j, (-3, 1): -0.25, (2, 2): 0.3, (-1, -1): 0.2})
+    grid = np.arange(11) / 11.0
+    pts = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    est = FunctionRecovery(system="fourier", dim=2, M=1, eta=0.0, step_ratio=0.0625)
+    est.fit(pts, evaluate_function(f, pts))
+    assert len(est.expansion_) == 5
+    X = np.random.default_rng(0).random((300_000, 2))
+    tracemalloc.start()
+    try:
+        out = est.predict(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus one block's tables and term factors (1.4 MB measured),
+    # not another points-sized array (4.8 MB here)
+    assert peak <= out.nbytes + 32 * 16 * _EVAL_CHUNK
+    assert np.array_equal(out, evaluate_function(est.expansion_, X))
 
 
 def test_chebyshev_path():

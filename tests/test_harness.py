@@ -188,6 +188,14 @@ def test_rate_transfer_degenerate_and_validation():
         rate_transfer(1.0, 3.0, 1.5, -0.1)
 
 
+@pytest.mark.parametrize("position", range(4))
+def test_rate_transfer_rejects_nan(position):
+    args = [1.0, 3.0, 1.5, 1.5]
+    args[position] = float("nan")
+    with pytest.raises(ValueError):
+        rate_transfer(*args)
+
+
 # ---------------------------------------------------------------------------
 # slope fitting
 

@@ -101,6 +101,11 @@ def test_stechkin_frozen_values():
         stechkin_bound(0.5, 0)
 
 
+def test_stechkin_rejects_nan_quasi_norm():
+    with pytest.raises(ValueError, match="quasi_norm must be nonnegative"):
+        stechkin_bound(0.5, 4, quasi_norm=float("nan"))
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     p=st.sampled_from([0.5, 1.0]),
@@ -147,6 +152,11 @@ def test_pietsch_validation():
         DiagonalSpec("nope", 1.0)
     with pytest.raises(ValueError):
         geometric_decay(1.5)
+
+
+def test_power_decay_rejects_nan():
+    with pytest.raises(ValueError, match="power decay needs exponent >= 0"):
+        power_decay(float("nan"))
 
 
 def test_pietsch_monotone_in_n():

@@ -22,6 +22,7 @@ from l1sample.recovery import (
     RecoveryConfig,
     build_matrix,
     choose_eta,
+    default_regime,
     l2_error,
     legendre_truncation,
     recover,
@@ -71,6 +72,40 @@ def test_regime_system_pairing():
     RecoveryConfig(legendre_preconditioned_system(), LEGENDRE_REGIME, n=2, M=2)
     with pytest.raises(ValueError):
         RecoveryConfig(legendre_raw_system(), LEGENDRE_REGIME, n=2, M=2)
+
+
+@pytest.mark.parametrize("field", ["c_sample", "c_eta", "eta_override"])
+def test_config_rejects_nan_constants(field):
+    # NaN passes "< 0" and "<= 0"; it failed later in sample_count or the solve
+    with pytest.raises(ValueError, match="positive|>= 0"):
+        RecoveryConfig(fourier_system(1), FOURIER3, n=2, M=2, **{field: float("nan")})
+
+
+def test_config_rejects_a_class_of_another_family():
+    with pytest.raises(ValueError) as info:
+        RecoveryConfig(chebyshev_system(), CHEBYSHEV_REGIME, n=4, M=8,
+                       klass=wiener_mixed(1.0, 1))
+    assert "regime 'chebyshev' samples the chebyshev system" in str(info.value)
+    assert "wiener_mixed class expands in the fourier system" in str(info.value)
+    # the preconditioned and the raw Legendre families share coefficients
+    RecoveryConfig(legendre_preconditioned_system(), LEGENDRE_REGIME, n=4, M=8,
+                   klass=poly_wiener(0.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="expands in the chebyshev system"):
+        RecoveryConfig(legendre_preconditioned_system(), LEGENDRE_REGIME, n=4, M=8,
+                       klass=poly_wiener(-0.5, 1.0, 1.0))
+
+
+def test_config_rejects_a_fourier_class_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension 1, but the system has dimension 2"):
+        RecoveryConfig(fourier_system(2), FOURIER3, n=2, M=2, klass=wiener_mixed(1.0, 1))
+    RecoveryConfig(fourier_system(2), FOURIER3, n=2, M=2, klass=wiener_mixed(1.0, 2))
+
+
+def test_default_regime_counts_the_legendre_kinds_as_one_family():
+    assert default_regime(fourier_system(3)) == FOURIER3
+    assert default_regime(chebyshev_system()) == CHEBYSHEV_REGIME
+    assert default_regime(legendre_preconditioned_system()) == LEGENDRE_REGIME
+    assert default_regime(legendre_raw_system()) == LEGENDRE_REGIME
 
 
 # ---------------------------------------------------------------------------

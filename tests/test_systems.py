@@ -20,6 +20,7 @@ from l1sample import (
     uniform_bound,
 )
 
+from l1sample import systems
 from l1sample.systems import _BLOCK, ChebyshevMatrix, LatticeFourier, _point_array
 
 from util import arcsine_cdf, chebyshev_value, ks_statistic, legendre_value, uniform_cdf
@@ -105,6 +106,24 @@ def test_explicit_index_set():
     assert (0, 1) in J and (1, 0) not in J
     with pytest.raises(ValueError):
         explicit_index_set([1, 1])
+
+
+def test_explicit_index_set_builds_its_member_set_once(monkeypatch):
+    J = explicit_index_set([(k, -k) for k in range(1000)])
+    builds = []
+
+    def counting_frozenset(*args):
+        builds.append(1)
+        return frozenset(*args)
+
+    monkeypatch.setattr(systems, "frozenset", counting_frozenset, raising=False)
+    assert all((k, -k) in J for k in range(100))
+    assert (1, 1) not in J
+    assert builds == []
+    # the cached set takes no part in equality, hashing or the repr
+    again = explicit_index_set([(k, -k) for k in range(1000)])
+    assert again == J and hash(again) == hash(J)
+    assert "_member_set" not in repr(J)
 
 
 def test_make_index_set_validation():

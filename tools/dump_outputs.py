@@ -3,8 +3,10 @@
 Runs small rate sweeps, phase tables, ``FunctionRecovery`` fits and
 ``l1sample recover`` calls through the public API and the CLI entry point,
 and prints every report in full.  After each fit it prints ``predict`` at
-fixed points; one d=2 fit predicts at more points than ``evaluate_function``
-takes in one block, so the comparison covers the blocked synthesis.
+fixed points, ``score`` on the training points and ``transform`` at the
+first seven of the fixed points; one d=2 fit predicts at more points than
+``evaluate_function`` takes in one block, so the comparison covers the
+blocked synthesis.
 Run it on two checkouts and compare the files:
 
     PYTHONPATH=src python tools/dump_outputs.py > before.txt
@@ -144,16 +146,21 @@ def _fit(params: dict, klass, support, point_system, m: int, seed: int,
     est = FunctionRecovery(c_eta=1e-3, step_ratio=STEP, **params)
     f = random_unit_function(klass, explicit_index_set(support), seed=seed)
     pts = draw_points(point_system, m, SamplePlan(seed))
-    est.fit(pts, factor * evaluate_function(f, pts))
-    values = est.predict(draw_points(point_system, predict_points, SamplePlan(seed + 1000)))
+    y = factor * evaluate_function(f, pts)
+    est.fit(pts, y)
+    new_pts = draw_points(point_system, predict_points, SamplePlan(seed + 1000))
+    values = est.predict(new_pts)
     if predict_points > PREDICT_POINTS:
         predicted = (f"predict at {predict_points} points: norm {float(np.linalg.norm(values))!r}"
                      f" max modulus {float(np.abs(values).max())!r}\n"
                      f"predict every {PREDICT_STRIDE}th {_pairs(values[::PREDICT_STRIDE])}\n")
     else:
         predicted = f"predict {_pairs(values)}\n"
+    features = est.transform(new_pts[:PREDICT_POINTS])
     return (f"theorem {est.config_.theorem} M {est.config_.M}\n"
             f"coefficients {_pairs(est.coefficients_)}\n" + predicted
+            + f"score on the training points {est.score(pts, y)!r}\n"
+            + f"transform {features.shape} {_pairs(features.ravel())}\n"
             + json.dumps(est.result_.to_json(), indent=2, sort_keys=True) + "\n")
 
 
