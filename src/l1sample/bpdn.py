@@ -286,9 +286,10 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     ``take(rows)``, which join and select trials, needed only by a batch of
     more than one.  ``systems.ChebyshevMatrix`` has ``fast`` (its
     nonuniform FFT); ``systems.LatticeFourier`` has ``norms``, ``stack`` and
-    ``take``.  A dense matrix becomes a one-trial operator that reads it in
-    place; ``BpdnProblem`` copies it once only when it is not C-contiguous
-    (or not of the data's dtype).
+    ``take``; ``systems.FourierTables``, the Fourier matrix at any points,
+    has only the products.  A dense matrix becomes a one-trial operator that
+    reads it in place; ``BpdnProblem`` copies it once only when it is not
+    C-contiguous (or not of the data's dtype).
 
     The iterates are sparse, so the forward products (the step and every
     residual, including the returned one) multiply only the columns on the

@@ -161,6 +161,8 @@ def pietsch_diag_an(
     else:
         gamma = np.asarray(diag, dtype=float).reshape(-1)
         h_max = gamma.size
+        if not np.isfinite(gamma).all():
+            raise ValueError("diagonal values must be finite")
         if np.any(gamma <= 0):
             raise ValueError("diagonal values must be positive")
     if gamma.size < n:

@@ -41,6 +41,7 @@ from .systems import (
     LEGENDRE_RAW,
     SEARCH_BOX,
     ChebyshevMatrix,
+    FourierTables,
     IndexSet,
     SamplePlan,
     System,
@@ -193,7 +194,12 @@ def choose_eta(config: RecoveryConfig) -> float:
 
 
 def build_matrix(config: RecoveryConfig, points) -> np.ndarray:
-    """Measurement matrix over the search set; rows are sample points."""
+    """Dense measurement matrix over the search set; rows are sample points.
+
+    The dense reference of the regime's operator: ``recover()`` uses it only
+    for the Legendre regime, and solves the others on ``FourierTables`` or
+    ``ChebyshevMatrix``.
+    """
     uniform_bound(config.system)  # raises for unbounded families
     pts = np.asarray(points)
     if pts.size == 0:
@@ -277,10 +283,12 @@ def recover(
                                   np.abs(y.imag).max(initial=0.0) == 0.0):
         y = y.real.astype(np.float64)
 
+    # exact products from small tables, without the m x N matrix; the
+    # solver takes the Chebyshev tables' fast transform between checks
     if config.system.kind == CHEBYSHEV:
-        # exact products from small tables, without the m x N matrix; the
-        # solver takes its fast transform for the products between checks
         A = ChebyshevMatrix(pts, len(search_set(config)))
+    elif config.system.kind == FOURIER:
+        A = FourierTables(pts, search_set(config).half_width)
     else:
         A = build_matrix(config, pts)
     eta = choose_eta(config)

@@ -639,14 +639,7 @@ class LatticeFourier:
     dtype = np.dtype(np.complex128)
 
     def __init__(self, points, half_width: int) -> None:
-        if half_width < 0:
-            raise ValueError("half_width must be >= 0")
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[1] < 1:
-            raise ValueError("points must be an (m, d) array")
-        pts = _point_array(fourier_system(pts.shape[1]), pts)
+        pts = _torus_points(points, half_width)
         q = 2 * half_width + 1
         scaled = pts * q
         g = np.rint(scaled)
@@ -722,11 +715,133 @@ class LatticeFourier:
         """A z for one trial, from the exponentials of the support's columns."""
         if self._cells.shape[0] != 1:
             raise ValueError("A @ z takes the operator of one trial")
-        z = np.asarray(z)
-        support = z.nonzero()[0]
-        k = np.stack(np.unravel_index(support, self._grid), axis=1) - self._half_width
-        system = fourier_system(len(self._grid))
-        return basis_matrix(system, k, self._points[0]) @ z[support]
+        return _box_product(self._points[0], self._half_width, z)
+
+
+def _torus_points(points, half_width: int) -> np.ndarray:
+    """The canonical (m, d) points of a box operator, checked."""
+    if half_width < 0:
+        raise ValueError("half_width must be >= 0")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise ValueError("points must be an (m, d) array")
+    return _point_array(fourier_system(pts.shape[1]), pts)
+
+
+def _box_product(points: np.ndarray, half_width: int, z) -> np.ndarray:
+    """A z over the box |k|_inf <= half_width, from the exponentials of the
+    support's columns (``basis_matrix``)."""
+    z = np.asarray(z)
+    support = z.nonzero()[0]
+    d = points.shape[1]
+    k = np.stack(np.unravel_index(support, (2 * half_width + 1,) * d), axis=1) - half_width
+    return basis_matrix(fourier_system(d), k, points) @ z[support]
+
+
+def _row_kronecker(tables) -> np.ndarray:
+    """The Khatri-Rao product of (n_a, m) tables: row (i_1, .., i_k), in
+    row-major order, is the product of row i_a of each table."""
+    out = tables[0]
+    for table in tables[1:]:
+        out = (out[:, None, :] * table[None, :, :]).reshape(-1, out.shape[1])
+    return out
+
+
+class FourierTables:
+    """The Fourier matrix over the box |k|_inf <= D at any points, with exact
+    products from per-axis power tables, not stored.
+
+    ``A = basis_matrix(fourier_system(d), box, points)``, its columns in the
+    box's order, at points of the torus, on a lattice or not.  Write a
+    column's flat index as p Q + q.  In d = 1, k + D = b B + j with B =
+    ceil(sqrt(2D + 1)), p = b and q = j; in d >= 2 the axes split at h = d //
+    2, p running over the first h axes' offsets k_a + D and q over the
+    others'.  Either way
+
+        A[l, p Q + q] = L[l, p] R[l, q],
+
+    with L[l, p] = u^(p B - D) and R[l, q] = u^q at u = exp(2 pi i x_l) in
+    d = 1, and in d >= 2 the Khatri-Rao (row-wise Kronecker) products of the
+    two groups' per-axis power tables u_a^j, 0 <= j <= 2D, the centring phase
+    prod_a u_a^(-D) folded into L.  ``_power_table`` builds the tables as
+    rows of length m, the powers and then their conjugates: (P + Q) 2m
+    numbers instead of m N, where P Q >= N (equal for d >= 2).
+
+    The adjoint is one GEMM per trial, A^H w = conj(L)^T diag(w) conj(R), a
+    (P, Q) array.  The forward product gathers the support's rows of both
+    tables while the support has at most sqrt(P Q) columns (P in d = 2);
+    past that it is one GEMM X R^T of x as a (P, Q) array X, then the
+    row-wise product with L^T summed over p.  Each trial has its own
+    products, so a row rounds as it would alone.  ``A @ z`` (one trial)
+    evaluates the columns on the support of z by direct exponentials
+    (``basis_matrix``), independently of the tables.
+    """
+
+    dtype = np.dtype(np.complex128)
+
+    def __init__(self, points, half_width: int) -> None:
+        self._points = _torus_points(points, half_width)
+        (m, d), D = self._points.shape, half_width
+        q = 2 * D + 1
+        u = np.exp(2j * np.pi * self._points.T)
+        phase = np.exp(-2j * np.pi * D * self._points.sum(axis=1))
+        if d == 1:
+            B = math.isqrt(q - 1) + 1  # ceil(sqrt(q))
+            right = _power_table(u[0], B)
+            left = _power_table(right[B - 1] * u[0], -(-q // B))
+            P = left.shape[0] // 2
+            left[:P] *= phase
+            np.conjugate(left[:P], out=left[P:])
+        else:
+            powers = [_power_table(ua, q)[:q] for ua in u]
+            tables = _row_kronecker(powers[:d // 2]) * phase, _row_kronecker(powers[d // 2:])
+            left, right = (np.concatenate((t, t.conj())) for t in tables)
+        self._left, self._right, self._half_width = left, right, D
+        self.shape = (m, q**d)
+        # the forward product's switch from the gather to the GEMM; single
+        # products on two cores crossed over at 33-66 nonzeros in d = 1
+        # (1200 x 1087), 61-122 in d = 2 (250 x 3721, P = 61) and 120-240 in
+        # d = 3 (200 x 3375, P = 15, Q = 225)
+        self._gather_limit = math.isqrt(left.shape[0] * right.shape[0] // 4)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """Row t of A x_t for a (T, N) stack: the support's rows of the
+        tables, or one GEMM past sqrt(P Q) nonzeros."""
+        (m, N), P, Q = self.shape, self._left.shape[0] // 2, self._right.shape[0] // 2
+        out = np.empty((X.shape[0], m), dtype=np.complex128)
+        for x, o in zip(X, out):
+            support = x.nonzero()[0]
+            if support.size <= self._gather_limit:
+                p, j = np.divmod(support, Q)
+                columns = self._left[p]
+                columns *= self._right[j]
+                np.matmul(x[support], columns, out=o)
+            else:
+                # in d = 1 the last block of Q columns runs past N
+                if N < P * Q:
+                    x = np.concatenate((x, np.zeros(P * Q - N, dtype=x.dtype)))
+                Y = x.reshape(P, Q) @ self._right[:Q]
+                Y *= self._left[:P]
+                Y.sum(axis=0, out=o)
+        return out
+
+    def adjoint(self, W: np.ndarray) -> np.ndarray:
+        """Row t of A^H w_t for a (T, m) stack: one GEMM per trial."""
+        N, P, Q = self.shape[1], self._left.shape[0] // 2, self._right.shape[0] // 2
+        out = np.empty((W.shape[0], P * Q), dtype=np.complex128)
+        for w, o in zip(W, out):
+            np.matmul(self._left[P:] * w, self._right[Q:].T, out=o.reshape(P, Q))
+        return out[:, :N]
+
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        """A z from the exponentials of the support's columns, not the tables."""
+        return _box_product(self._points, self._half_width, z)
 
 
 def evaluate_basis(system: System, index, point) -> complex:

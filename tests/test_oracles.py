@@ -146,6 +146,11 @@ def test_pietsch_validation():
         pietsch_diag_an(np.array([1.0, 2.0]), 1)  # increasing
     with pytest.raises(ValueError):
         pietsch_diag_an(np.array([1.0]), 2)  # too short
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            pietsch_diag_an(np.array([1.0, bad, 0.5]), 1)
+    with pytest.raises(ValueError, match="finite"):
+        pietsch_diag_an(np.array([np.inf, 1.0, 0.5]), 1)
     with pytest.raises(ValueError):
         pietsch_diag_an(geometric_decay(0.5), 0)
     with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from l1sample import recovery, systems
+from l1sample.bpdn import BpdnProblem, solve_bpdn
 from l1sample.classes import (
     CoefficientExpansion,
     class_norm,
@@ -26,6 +28,7 @@ from l1sample.recovery import (
     l2_error,
     legendre_truncation,
     recover,
+    regime_plan,
     sample_count,
     sample_points,
     search_set,
@@ -317,6 +320,38 @@ def test_chebyshev_recovery_allocates_well_under_one_matrix():
     assert result.certified
     assert result.l2_err <= 1e-2
     assert peak < 8 * m * N / 4
+
+
+@pytest.mark.parametrize("d, theorem", [(2, FOURIER3), (1, FOURIER_GRID)])
+def test_fourier_recovery_builds_no_m_by_n_matrix(monkeypatch, d, theorem):
+    # the solve runs on per-axis power tables, with the dense solve's
+    # iterations and, up to rounding, its point
+    cfg = RecoveryConfig(fourier_system(d), theorem, n=3, M=2, eta_override=1e-3,
+                         step_ratio=0.0625)
+    m, N = 40 if d == 1 else 60, len(search_set(cfg))
+    keys = [(1,), (-2,), (0,)] if d == 1 else [(1, 0), (-2, 2), (0, -1)]
+    f_true = CoefficientExpansion(fourier_system(d), dict(zip(keys, (1.0, 0.5j, -0.25))))
+    pts = draw_points(cfg.system, m, regime_plan(cfg, 3))
+    y = evaluate_function(f_true, pts)
+    shapes = []
+    original = systems.basis_matrix
+
+    def recording(*args):
+        A = original(*args)
+        shapes.append(A.shape)
+        return A
+
+    for module in (systems, recovery):
+        monkeypatch.setattr(module, "basis_matrix", recording)
+    result = recover(y, cfg, pts, f_true=f_true)
+    assert result.certified and result.l2_err <= 1e-2
+    assert all(shape[1] < N for shape in shapes)
+    A = build_matrix(cfg, pts)
+    assert shapes[-1] == (m, N)  # the recording sees the dense reference
+    dense = solve_bpdn(BpdnProblem(A, y, result.eta, obj_tol=cfg.obj_tol,
+                                   max_iters=cfg.max_iters, step_ratio=cfg.step_ratio))
+    assert result.solution.iterations == dense.iterations
+    assert np.abs(result.solution.z - dense.z).max() <= 1e-9
 
 
 def test_legendre_path_returns_raw_expansion():

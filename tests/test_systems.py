@@ -21,7 +21,7 @@ from l1sample import (
 )
 
 from l1sample import systems
-from l1sample.systems import _BLOCK, ChebyshevMatrix, LatticeFourier, _point_array
+from l1sample.systems import _BLOCK, ChebyshevMatrix, FourierTables, LatticeFourier, _point_array
 
 from util import arcsine_cdf, chebyshev_value, ks_statistic, legendre_value, uniform_cdf
 
@@ -476,3 +476,75 @@ def test_lattice_fourier_validation():
     with pytest.raises(ValueError, match="one trial"):
         LatticeFourier.stack([one, one]) @ np.ones(3)
 
+
+
+# ---------------------------------------------------------------------------
+# Fourier products from per-axis tables
+
+
+def _random_vector(rng, N, size, complex_data):
+    """A vector with ``size`` random nonzeros."""
+    v = np.zeros(N, dtype=complex if complex_data else float)
+    support = rng.choice(N, size, replace=False)
+    v[support] = rng.normal(size=size)
+    if complex_data:
+        v[support] += 1j * rng.normal(size=size)
+    return v
+
+
+# (d, D, m): N = 1; d = 1 with whole blocks (q = 9: B = P = 3) and with a last
+# block past N (q = 11: B = 4, P = 3); torus2d-fit's 250 x 3721; d = 3, whose
+# axes split into groups of P = 5 and Q = 25 columns
+@pytest.mark.parametrize("d, D, m", [(1, 0, 3), (1, 4, 9), (1, 5, 12), (1, 40, 60),
+                                     (2, 0, 4), (2, 3, 20), (2, 30, 250), (3, 2, 30)])
+@pytest.mark.parametrize("lattice", [False, True])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_fourier_tables_match_the_dense_products(d, D, m, lattice, complex_data):
+    rng = np.random.default_rng(100 * d + D + m + 2 * lattice + complex_data)
+    q = 2 * D + 1
+    points = rng.integers(0, q, size=(m, d)) / q if lattice else rng.random((m, d))
+    box = make_index_set("box", d=d, M=D) if D else np.zeros((1, d), dtype=int)
+    A = basis_matrix(fourier_system(d), box, points)
+    N = A.shape[1]
+    op = FourierTables(points, D)
+    assert op.shape == (m, N) and op.dtype == np.complex128
+    w = rng.normal(size=m) + (1j * rng.normal(size=m) if complex_data else 0)
+    cases = [(op.adjoint(w[None])[0], A.conj().T @ w)]
+    # empty, sparse and full supports, and either side of the switch from the
+    # gathered rows to the GEMM
+    limit = op._gather_limit
+    for size in sorted({0, min(3, N), limit, limit + 1, N} - {N + 1}):
+        v = _random_vector(rng, N, size, complex_data)
+        cases += [(op.forward(v[None])[0], A @ v), (op @ v, A @ v)]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+    if d == 2:
+        assert limit == q
+    if (d, D) == (2, 30):
+        assert op.nbytes < A.nbytes / 10
+
+
+def test_fourier_tables_stack_trials_row_by_row():
+    rng = np.random.default_rng(8)
+    op = FourierTables(rng.random((40, 2)), 3)
+    N = op.shape[1]
+    # empty, sparse, at the switch, and full rows in one stack
+    X = np.stack([_random_vector(rng, N, size, True) for size in (0, 4, 7, 8, N)])
+    W = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+    forward, adjoint = op.forward(X), op.adjoint(W)
+    for t in range(X.shape[0]):
+        assert np.array_equal(forward[t], op.forward(X[t:t + 1])[0])
+    for t in range(W.shape[0]):
+        assert np.array_equal(adjoint[t], op.adjoint(W[t:t + 1])[0])
+
+
+def test_fourier_tables_validation():
+    with pytest.raises(ValueError, match="finite"):
+        FourierTables([0.1, np.nan], 2)
+    with pytest.raises(ValueError, match="finite"):
+        FourierTables([[0.1, np.inf]], 2)
+    with pytest.raises(ValueError):
+        FourierTables([0.1], -1)
+    with pytest.raises(ValueError):
+        FourierTables(np.zeros((2, 2, 2)), 1)

@@ -6,7 +6,8 @@ and prints every report in full.  After each fit it prints ``predict`` at
 fixed points, ``score`` on the training points and ``transform`` at the
 first seven of the fixed points; one d=2 fit predicts at more points than
 ``evaluate_function`` takes in one block, so the comparison covers the
-blocked synthesis.
+blocked synthesis.  A d=3 fit and a d=2 ``fourier_grid`` recovery cover the
+Fourier tables' Khatri-Rao products and lattice points.
 Run it on two checkouts and compare the files:
 
     PYTHONPATH=src python tools/dump_outputs.py > before.txt
@@ -123,6 +124,11 @@ FIT_CASES = {
         dict(system="fourier", dim=2, class_kind="wiener_mixed", r=1.0, n=3),
         wiener_mixed(1.0, 2), [(0, 0), (3, -4), (-5, 2), (6, 6), (-1, -7)],
         fourier_system(2), 80, 17, 1, 5000),
+    # in d = 3 the Fourier tables' two axis groups differ in size (15 and 225 rows)
+    "fit fourier d=3": (
+        dict(system="fourier", dim=3, class_kind="wiener_mixed", r=1.0, n=2, M=1),
+        wiener_mixed(1.0, 3), [(0, 0, 0), (1, -2, 0), (-3, 1, 2)], fourier_system(3),
+        70, 18, 1),
 }
 # points predict is printed at by default; above that, every PREDICT_STRIDE-th
 # value is printed along with the norm and the largest modulus of all
@@ -139,6 +145,9 @@ RECOVER_CASES = {
 }
 RECOVER_CASES["recover fourier_grid M=6"] = RECOVER_BASE + [
     "--theorem", "fourier_grid", "--M", "6", "--seed", "11"]
+RECOVER_CASES["recover fourier_grid d=2"] = RECOVER_BASE + [
+    "--theorem", "fourier_grid", "--d", "2", "--c-eta", "0.001", "--c-sample", "2",
+    "--seed", "12"]
 
 
 def _fit(params: dict, klass, support, point_system, m: int, seed: int,
