@@ -284,12 +284,13 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     stand-in with the same products accurate to a known tolerance rather
     than to rounding; and the class method ``stack(operators)`` with
     ``take(rows)``, which join and select trials, needed only by a batch of
-    more than one.  ``systems.ChebyshevMatrix`` has ``fast`` (its
-    nonuniform FFT); ``systems.LatticeFourier`` has ``norms``, ``stack`` and
+    more than one.  ``systems.LatticeFourier`` has ``norms``, ``stack`` and
     ``take``; ``systems.FourierTables``, the Fourier matrix at any points,
-    has only the products.  A dense matrix becomes a one-trial operator that
-    reads it in place; ``BpdnProblem`` copies it once only when it is not
-    C-contiguous (or not of the data's dtype).
+    has only the products, and its real form for Chebyshev,
+    ``FourierTables.chebyshev``, also ``fast`` (a nonuniform FFT).  A dense
+    matrix becomes a one-trial operator that reads it in place;
+    ``BpdnProblem`` copies it once only when it is not C-contiguous (or not
+    of the data's dtype).
 
     The iterates are sparse, so the forward products (the step and every
     residual, including the returned one) multiply only the columns on the

@@ -40,7 +40,6 @@ from .systems import (
     LEGENDRE_PRECONDITIONED,
     LEGENDRE_RAW,
     SEARCH_BOX,
-    ChebyshevMatrix,
     FourierTables,
     IndexSet,
     SamplePlan,
@@ -197,8 +196,8 @@ def build_matrix(config: RecoveryConfig, points) -> np.ndarray:
     """Dense measurement matrix over the search set; rows are sample points.
 
     The dense reference of the regime's operator: ``recover()`` uses it only
-    for the Legendre regime, and solves the others on ``FourierTables`` or
-    ``ChebyshevMatrix``.
+    for the Legendre regime, and solves the others on ``FourierTables``, in
+    its complex form on the torus and its real form for Chebyshev.
     """
     uniform_bound(config.system)  # raises for unbounded families
     pts = np.asarray(points)
@@ -283,12 +282,13 @@ def recover(
                                   np.abs(y.imag).max(initial=0.0) == 0.0):
         y = y.real.astype(np.float64)
 
-    # exact products from small tables, without the m x N matrix; the
-    # solver takes the Chebyshev tables' fast transform between checks
+    # exact products from two small tables, without the m x N matrix; the
+    # solver takes the real form's fast transform between checks
+    columns = search_set(config)
     if config.system.kind == CHEBYSHEV:
-        A = ChebyshevMatrix(pts, len(search_set(config)))
+        A = FourierTables.chebyshev(pts, len(columns))
     elif config.system.kind == FOURIER:
-        A = FourierTables(pts, search_set(config).half_width)
+        A = FourierTables(pts, columns.half_width)
     else:
         A = build_matrix(config, pts)
     eta = choose_eta(config)
@@ -302,7 +302,7 @@ def recover(
     solution = solve_bpdn(problem)
 
     support = solution.z.nonzero()[0]
-    keys = search_set(config).indices()[support]
+    keys = columns.at(support)
     expansion = CoefficientExpansion(out_system, {
         _normalize_index(key): complex(value)
         for key, value in zip(keys, solution.z[support])

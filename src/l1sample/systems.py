@@ -175,15 +175,18 @@ class IndexSet:
 
     def indices(self) -> np.ndarray:
         """All indices as an array: shape (N, d) for boxes, (N,) for degrees."""
+        return self.at(np.arange(len(self)))
+
+    def at(self, positions) -> np.ndarray:
+        """The indices at ``positions`` of ``indices()``, without building
+        the others: a box's flat positions unravelled in row-major order."""
+        positions = np.asarray(positions, dtype=np.int64)
         if self.kind in (BOX, SEARCH_BOX):
             R = self.half_width
-            axes = [np.arange(-R, R + 1)] * self.d
-            grid = np.meshgrid(*axes, indexing="ij")
-            return np.stack(grid, axis=-1).reshape(-1, self.d)
+            return np.stack(np.unravel_index(positions, (2 * R + 1,) * self.d), axis=-1) - R
         if self.kind == DEGREES:
-            return np.arange(self.M + 1)
-        arr = np.asarray(self.members)
-        return arr
+            return positions
+        return np.asarray(self.members)[positions]
 
     def as_tuples(self) -> list:
         arr = self.indices()
@@ -430,7 +433,8 @@ class ChebyshevTransform:
     no degree lies near the grid's Nyquist frequency.  The products take
     (T, N) and (T, m) stacks, real or complex, row by row; a complex stack
     runs as its real and imaginary parts, extra real rows of one FFT call.
-    Built by ``ChebyshevMatrix``, as its ``fast``, from the angles theta.
+    Built by ``FourierTables.chebyshev``, as its ``fast``, from the angles
+    theta.
     """
 
     def __init__(self, theta: np.ndarray, N: int) -> None:
@@ -498,17 +502,6 @@ class ChebyshevTransform:
         return _joined(out)
 
 
-# Degrees per block of ChebyshevMatrix's tables.  At 1616 x 17377 on two
-# cores the exact adjoint took 3.3 / 2.8 / 2.2 / 2.7 ms with blocks of
-# 64 / 128 / 256 / 512 (the dense w @ A 10.4 ms), the tables held 8.4 / 6.6 /
-# 8.1 / 13.6 MB, and the support-only forward product did not move.
-_BLOCK = 256
-# Support columns per step of its forward product: at 1616 x 17377 and 300
-# nonzeros a step of 32 took 2.2 ms, one of 256 16 ms (the gathered rows
-# leave the cache).
-_FORWARD_COLUMNS = 32
-
-
 def _parts(v: np.ndarray) -> np.ndarray:
     """Real input as one part, complex input as its real and imaginary
     parts, along a new first axis."""
@@ -518,99 +511,6 @@ def _parts(v: np.ndarray) -> np.ndarray:
 def _joined(parts: np.ndarray) -> np.ndarray:
     """The inverse of ``_parts``."""
     return parts[0] if parts.shape[0] == 1 else parts[0] + 1j * parts[1]
-
-
-def _cos_sin_rows(degrees: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Row k is [cos(k theta) | sin(k theta)], built in place."""
-    m = theta.shape[0]
-    rows = np.empty((degrees.shape[0], 2 * m))
-    cos, sin = rows[:, :m], rows[:, m:]
-    np.multiply.outer(degrees, theta, out=cos)
-    np.sin(cos, out=sin)
-    np.cos(cos, out=cos)
-    return rows
-
-
-class ChebyshevMatrix:
-    """The Chebyshev matrix over degrees 0..N-1 with exact products, not stored.
-
-    ``A = basis_matrix(chebyshev_system(), range(N), points)`` has entries
-    c_k cos(k theta_i) at theta_i = arccos x_i.  Writing k = b B + j with
-    0 <= j < B, the angle-addition identity
-
-        cos(k t) = cos(b B t) cos(j t) - sin(b B t) sin(j t)
-
-    splits column k into row b of a block table [cos(b B theta) | sin(b B
-    theta)] and row j of a phase table [cos(j theta) | -sin(j theta)], each
-    of length 2m.  The tables hold (N / B + B) 2m numbers instead of m N,
-    and both products are the dense sums regrouped, exact up to rounding.
-    They take (T, m) and (T, N) stacks, row by row; a complex row runs as
-    its real and imaginary parts.
-
-    ``fast`` is the fast stand-in: the ``ChebyshevTransform`` of the same
-    points, accurate to about 1e-12 relative.  ``A @ z`` (one trial)
-    evaluates the columns on the support of z by direct cosines
-    (``basis_matrix``), independently of the tables and the transform.
-    """
-
-    dtype = np.dtype(np.float64)
-
-    def __init__(self, points, N: int) -> None:
-        if N < 1:
-            raise ValueError("the matrix needs at least one degree")
-        self._points = _point_array(chebyshev_system(), points)
-        theta = np.arccos(self._points)
-        m, B = theta.shape[0], min(_BLOCK, N)
-        self._outer = _cos_sin_rows(np.arange(0, N, B), theta)
-        self._inner = _cos_sin_rows(np.arange(B), theta)
-        self._inner[:, m:] *= -1.0
-        self._scale = _chebyshev_scale(np.arange(N))
-        self.shape = (m, N)
-        self.fast = ChebyshevTransform(theta, N)
-
-    @property
-    def nbytes(self) -> int:
-        arrays = [*vars(self).values(), *vars(self.fast).values()]  # the transform's too
-        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-
-    def adjoint(self, W: np.ndarray) -> np.ndarray:
-        """Row t of A^T w_t (equal to A^H w_t, A being real) for a (T, m)
-        stack: one product of the tables per trial.
-
-        Row b of [cos(b B theta) w | sin(b B theta) w] times the phase
-        table's transpose gives the degrees b B .. b B + B - 1.  A matrix
-        product's rows round differently with the number of rows in it, so
-        each trial has its own.
-        """
-        N, rows = self.shape[1], []
-        for w in W:
-            parts = _parts(w)
-            left = self._outer * np.tile(parts, 2)[:, None, :]
-            out = left.reshape(-1, left.shape[2]) @ self._inner.T
-            rows.append(_joined(out.reshape(parts.shape[0], -1)[:, :N] * self._scale))
-        return rows[0][None] if len(rows) == 1 else np.stack(rows)
-
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        """Row t of A x_t for a (T, N) stack, over the support of x_t: rows
-        b and j of the tables for each column k = b B + j, a few columns at
-        a time."""
-        m, B = self.shape[0], self._inner.shape[0]
-        out = np.zeros((2 if np.iscomplexobj(X) else 1, X.shape[0], 2 * m))
-        for t, x in enumerate(X):
-            support = x.nonzero()[0]
-            for start in range(0, support.size, _FORWARD_COLUMNS):
-                s = support[start:start + _FORWARD_COLUMNS]
-                b, j = np.divmod(s, B)
-                columns = self._outer[b]
-                columns *= self._inner[j]
-                out[:, t] += _parts(x[s] * self._scale[s]) @ columns
-        return _joined(out[..., :m] + out[..., m:])
-
-    def __matmul__(self, z: np.ndarray) -> np.ndarray:
-        """A z from the cosines of the support's columns, not the tables."""
-        z = np.asarray(z)
-        support = z.nonzero()[0]
-        return basis_matrix(chebyshev_system(), support, self._points) @ z[support]
 
 
 class LatticeFourier:
@@ -715,7 +615,9 @@ class LatticeFourier:
         """A z for one trial, from the exponentials of the support's columns."""
         if self._cells.shape[0] != 1:
             raise ValueError("A @ z takes the operator of one trial")
-        return _box_product(self._points[0], self._half_width, z)
+        d = self._points.shape[2]
+        return _support_product(fourier_system(d), IndexSet(BOX, d, self._half_width),
+                                self._points[0], z)
 
 
 def _torus_points(points, half_width: int) -> np.ndarray:
@@ -730,14 +632,12 @@ def _torus_points(points, half_width: int) -> np.ndarray:
     return _point_array(fourier_system(pts.shape[1]), pts)
 
 
-def _box_product(points: np.ndarray, half_width: int, z) -> np.ndarray:
-    """A z over the box |k|_inf <= half_width, from the exponentials of the
-    support's columns (``basis_matrix``)."""
+def _support_product(system: System, columns: IndexSet, points: np.ndarray, z) -> np.ndarray:
+    """A z over the index set ``columns``, from the basis functions of the
+    support's columns alone (``basis_matrix``)."""
     z = np.asarray(z)
     support = z.nonzero()[0]
-    d = points.shape[1]
-    k = np.stack(np.unravel_index(support, (2 * half_width + 1,) * d), axis=1) - half_width
-    return basis_matrix(fourier_system(d), k, points) @ z[support]
+    return basis_matrix(system, columns.at(support), points) @ z[support]
 
 
 def _row_kronecker(tables) -> np.ndarray:
@@ -749,9 +649,47 @@ def _row_kronecker(tables) -> np.ndarray:
     return out
 
 
+# Degrees per block of the Chebyshev tables.  At 1616 x 17377 on two cores
+# the exact adjoint took 3.3 / 2.8 / 2.2 / 2.7 ms with blocks of 64 / 128 /
+# 256 / 512, and the tables held 8.4 / 6.6 / 8.1 / 13.6 MB.  Below degree
+# 256 the columns are the dense matrix's own cosines, bit for bit: a
+# certified residual 2,700 times smaller than the data (150 x 901) lies 8e-14
+# relative from its dense recompute, where a split at ceil(sqrt(N)) = 31
+# left 3e-12 (power tables) or 5e-12 (direct cosines), and the dense
+# recompute itself lies 1.4e-12 from a long-double one.
+_BLOCK = 256
+# Columns per step of the real form's gather, which takes every support.
+# At 1616 x 17377 and 300 nonzeros a step of 32 took 2.2 ms, one of 256
+# 16 ms (the gathered rows leave the cache); one gather of 128 columns took
+# 6.2 ms against 2.0 ms for the GEMM, and gathers of up to 131 columns raised
+# a rate sweep's peak memory by 4 MB.
+_FORWARD_COLUMNS = 32
+
+
+def _exp_rows(degrees: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Rows exp(i k theta) for k in ``degrees`` as float64 [Re, Im] pairs,
+    from the cosines and sines of the rounded angles k theta, as
+    ``basis_matrix`` takes them."""
+    rows = np.empty((degrees.shape[0], theta.shape[0], 2))
+    np.multiply.outer(degrees, theta, out=rows[..., 0])
+    np.sin(rows[..., 0], out=rows[..., 1])
+    np.cos(rows[..., 0], out=rows[..., 0])
+    return rows.reshape(degrees.shape[0], -1)
+
+
+def _gathered(left: np.ndarray, right: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Row p of ``left`` times row j of ``right`` for each column p Q + j of
+    ``support``, Q being the rows of ``right``."""
+    p, j = np.divmod(support, right.shape[0])
+    columns = left[p]
+    columns *= right[j]
+    return columns
+
+
 class FourierTables:
-    """The Fourier matrix over the box |k|_inf <= D at any points, with exact
-    products from per-axis power tables, not stored.
+    """The Fourier matrix over the box |k|_inf <= D, or the Chebyshev matrix
+    over degrees 0..N-1, at any points, with exact products from two small
+    tables, not stored.
 
     ``A = basis_matrix(fourier_system(d), box, points)``, its columns in the
     box's order, at points of the torus, on a lattice or not.  Write a
@@ -774,9 +712,26 @@ class FourierTables:
     tables while the support has at most sqrt(P Q) columns (P in d = 2);
     past that it is one GEMM X R^T of x as a (P, Q) array X, then the
     row-wise product with L^T summed over p.  Each trial has its own
-    products, so a row rounds as it would alone.  ``A @ z`` (one trial)
-    evaluates the columns on the support of z by direct exponentials
-    (``basis_matrix``), independently of the tables.
+    products, so a row rounds as it would alone.
+
+    ``FourierTables.chebyshev(points, N)`` is the real form: ``A =
+    basis_matrix(chebyshev_system(), range(N), points)``, entries c_k
+    Re(u^k) at u = exp(i theta), theta = arccos x.  It splits k = p B + j
+    with B = min(N, ``_BLOCK``) and no centring, and keeps one half of each
+    table, L[p] = u^(p B) and conj(R[j]) = u^(-j), from the cosines and
+    sines of the rounded angles as ``basis_matrix`` takes them, as float64
+    views: rows of [Re, Im] pairs.  Re(L[p] R[j]) is the sum of each pair
+    of L_view[p] * conjR_view[j].  So the adjoint is
+    one real GEMM per trial, (L w)_view conjR_view^T, and the forward product
+    gathers the support's rows of both views at any support,
+    ``_FORWARD_COLUMNS`` at a time, its pairs summed; a complex stack runs
+    as its real and imaginary parts.  Its ``fast`` is the
+    ``ChebyshevTransform`` of the same points, accurate to about 1e-12
+    relative.
+
+    ``A @ z`` (one trial) evaluates the columns on the support of z by
+    direct exponentials or cosines (``basis_matrix``), independently of the
+    tables.
     """
 
     dtype = np.dtype(np.complex128)
@@ -798,7 +753,8 @@ class FourierTables:
             powers = [_power_table(ua, q)[:q] for ua in u]
             tables = _row_kronecker(powers[:d // 2]) * phase, _row_kronecker(powers[d // 2:])
             left, right = (np.concatenate((t, t.conj())) for t in tables)
-        self._left, self._right, self._half_width = left, right, D
+        self._left, self._right, self._columns = left, right, IndexSet(BOX, d, D)
+        self._system = fourier_system(d)
         self.shape = (m, q**d)
         # the forward product's switch from the gather to the GEMM; single
         # products on two cores crossed over at 33-66 nonzeros in d = 1
@@ -806,22 +762,48 @@ class FourierTables:
         # d = 3 (200 x 3375, P = 15, Q = 225)
         self._gather_limit = math.isqrt(left.shape[0] * right.shape[0] // 4)
 
+    @classmethod
+    def chebyshev(cls, points, N: int) -> "FourierTables":
+        """The real form: the Chebyshev matrix over degrees 0..N-1."""
+        if N < 1:
+            raise ValueError("the matrix needs at least one degree")
+        op = cls.__new__(cls)
+        op._points = _point_array(chebyshev_system(), points)
+        theta = np.arccos(op._points)
+        B = min(_BLOCK, N)
+        op._left, op._right = _exp_rows(np.arange(0, N, B), theta), _exp_rows(np.arange(B), theta)
+        op._right[:, 1::2] *= -1.0
+        op._system, op._columns = chebyshev_system(), IndexSet(DEGREES, 1, N - 1)
+        op._scale = _chebyshev_scale(np.arange(N))
+        op.dtype, op.shape = np.dtype(np.float64), (theta.shape[0], N)
+        op.fast = ChebyshevTransform(theta, N)
+        return op
+
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+        owners = (self, self.fast) if hasattr(self, "fast") else (self,)  # the transform's too
+        return sum(a.nbytes for o in owners for a in vars(o).values() if isinstance(a, np.ndarray))
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Row t of A x_t for a (T, N) stack: the support's rows of the
-        tables, or one GEMM past sqrt(P Q) nonzeros."""
-        (m, N), P, Q = self.shape, self._left.shape[0] // 2, self._right.shape[0] // 2
-        out = np.empty((X.shape[0], m), dtype=np.complex128)
+        tables, in the complex form one GEMM past sqrt(P Q) nonzeros."""
+        m, N = self.shape
+        out = np.empty((X.shape[0], m), dtype=X.dtype if X.dtype.kind == "c" else self.dtype)
+        if self.dtype.kind == "f":
+            # rows of L and conj(R) as [Re, Im] pairs, _FORWARD_COLUMNS at a
+            # time at any support, then the pairs summed
+            for x, o in zip(X, out):
+                support, y = x.nonzero()[0], np.zeros((1 + np.iscomplexobj(x), 2 * m))
+                for k in range(0, support.size, _FORWARD_COLUMNS):
+                    s = support[k:k + _FORWARD_COLUMNS]
+                    y += _parts(x[s] * self._scale[s]) @ _gathered(self._left, self._right, s)
+                o[...] = _joined(y[:, ::2] + y[:, 1::2])
+            return out
+        P, Q = self._left.shape[0] // 2, self._right.shape[0] // 2
         for x, o in zip(X, out):
             support = x.nonzero()[0]
             if support.size <= self._gather_limit:
-                p, j = np.divmod(support, Q)
-                columns = self._left[p]
-                columns *= self._right[j]
-                np.matmul(x[support], columns, out=o)
+                np.matmul(x[support], _gathered(self._left[:P], self._right[:Q], support), out=o)
             else:
                 # in d = 1 the last block of Q columns runs past N
                 if N < P * Q:
@@ -833,15 +815,26 @@ class FourierTables:
 
     def adjoint(self, W: np.ndarray) -> np.ndarray:
         """Row t of A^H w_t for a (T, m) stack: one GEMM per trial."""
-        N, P, Q = self.shape[1], self._left.shape[0] // 2, self._right.shape[0] // 2
+        m, N = self.shape
+        if self.dtype.kind == "f":
+            # (L w)_view conjR_view^T, each part of w repeated over the pairs
+            out = np.empty((W.shape[0], N), dtype=W.dtype if W.dtype.kind == "c" else self.dtype)
+            for w, o in zip(W, out):
+                parts = _parts(w)
+                left = self._left * np.repeat(parts, 2, axis=-1)[:, None, :]
+                y = (left.reshape(-1, 2 * m) @ self._right.T).reshape(parts.shape[0], -1)[:, :N]
+                y *= self._scale
+                o[...] = _joined(y)
+            return out
+        P, Q = self._left.shape[0] // 2, self._right.shape[0] // 2
         out = np.empty((W.shape[0], P * Q), dtype=np.complex128)
         for w, o in zip(W, out):
             np.matmul(self._left[P:] * w, self._right[Q:].T, out=o.reshape(P, Q))
         return out[:, :N]
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
-        """A z from the exponentials of the support's columns, not the tables."""
-        return _box_product(self._points, self._half_width, z)
+        """A z from the basis functions of the support's columns, not the tables."""
+        return _support_product(self._system, self._columns, self._points, z)
 
 
 def evaluate_basis(system: System, index, point) -> complex:

@@ -354,6 +354,33 @@ def test_fourier_recovery_builds_no_m_by_n_matrix(monkeypatch, d, theorem):
     assert np.abs(result.solution.z - dense.z).max() <= 1e-9
 
 
+@pytest.mark.parametrize("system, theorem, keys", [
+    (fourier_system(1), FOURIER3, [(1,), (-2,), (0,)]),
+    (fourier_system(2), FOURIER3, [(1, 0), (-2, 2), (0, -1)]),
+    (chebyshev_system(), CHEBYSHEV_REGIME, [0, 3, 5]),
+], ids=["d=1", "d=2", "degrees"])
+def test_recover_names_the_keys_from_the_support_alone(monkeypatch, system, theorem, keys):
+    cfg = RecoveryConfig(system, theorem, n=3, M=2, eta_override=1e-3, step_ratio=0.0625)
+    f_true = CoefficientExpansion(system, dict(zip(keys, (1.0, 0.5, -0.25))))
+    pts = draw_points(system, 60, regime_plan(cfg, 4))
+    y = evaluate_function(f_true, pts)
+    original = systems.IndexSet.indices
+
+    def indices(index_set):
+        if index_set == search_set(cfg):
+            raise AssertionError("recover listed every index of the search set")
+        return original(index_set)
+
+    monkeypatch.setattr(systems.IndexSet, "indices", indices)
+    result = recover(y, cfg, pts)
+    monkeypatch.undo()
+    # the keys the whole index array names, in d = 1 and 2 and for degrees
+    z, every_key = result.solution.z, search_set(cfg).as_tuples()
+    support = z.nonzero()[0]
+    assert support.size >= len(keys)
+    assert result.expansion.coefficients == {every_key[i]: complex(z[i]) for i in support}
+
+
 def test_legendre_path_returns_raw_expansion():
     f_true = CoefficientExpansion(
         legendre_raw_system(), {0: 0.3, 2: -1.0, 5: 0.7, 7: 0.2, 8: -0.4}

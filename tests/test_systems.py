@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from l1sample import (
 )
 
 from l1sample import systems
-from l1sample.systems import _BLOCK, ChebyshevMatrix, FourierTables, LatticeFourier, _point_array
+from l1sample.systems import FourierTables, LatticeFourier, _point_array
 
 from util import arcsine_cdf, chebyshev_value, ks_statistic, legendre_value, uniform_cdf
 
@@ -99,6 +101,25 @@ def test_indices_shapes_and_tuples():
     D = make_index_set("degrees", M=3)
     assert D.indices().tolist() == [0, 1, 2, 3]
     assert D.as_tuples() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("index_set", [
+    make_index_set("box", d=1, M=3), make_index_set("box", d=2, M=2),
+    make_index_set("search_box", d=3, M=1), make_index_set("degrees", M=6),
+    explicit_index_set([(0, 1), (2, -3), (-1, 0)]),
+])
+def test_index_set_at_names_positions_in_row_major_order(index_set):
+    if index_set.kind == "degrees":
+        expected = np.arange(index_set.M + 1)
+    elif index_set.kind == "explicit":
+        expected = np.array(index_set.members)
+    else:
+        R = index_set.half_width
+        expected = np.array(list(itertools.product(range(-R, R + 1), repeat=index_set.d)))
+    assert np.array_equal(index_set.indices(), expected)
+    positions = np.array([len(index_set) - 1, 0, 1, 1])
+    assert np.array_equal(index_set.at(positions), expected[positions])
+    assert index_set.at(np.array([], dtype=int)).shape == (0,) + expected.shape[1:]
 
 
 def test_explicit_index_set():
@@ -344,7 +365,7 @@ def test_chebyshev_transform_matches_the_dense_products(m, N, complex_data):
     # x = -1 centres it on theta = pi
     x[:2] = [1.0, -1.0][:m]
     A = basis_matrix(chebyshev_system(), np.arange(N), x)
-    T = ChebyshevMatrix(x, N).fast
+    T = FourierTables.chebyshev(x, N).fast
     w, v = rng.normal(size=m), rng.normal(size=N)
     sparse = np.zeros(N)
     sparse[rng.choice(N, min(N, 3), replace=False)] = 1.0
@@ -361,12 +382,12 @@ def test_chebyshev_transform_matches_the_dense_products(m, N, complex_data):
 
 def test_chebyshev_transform_validation():
     with pytest.raises(ValueError):
-        ChebyshevMatrix([0.5], 0)
+        FourierTables.chebyshev([0.5], 0)
     with pytest.raises(ValueError):
-        ChebyshevMatrix([1.5], 4)
+        FourierTables.chebyshev([1.5], 4)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            ChebyshevMatrix([0.1, bad], 8)
+            FourierTables.chebyshev([0.1, bad], 8)
 
 
 @pytest.mark.parametrize("system, indices, points", [
@@ -379,34 +400,35 @@ def test_non_finite_points_are_rejected(system, indices, points):
         basis_matrix(system, indices, points)
 
 
-# (m, N): the transform's cases, a single block (N < B) and whole blocks
-# (N a multiple of B)
+# (m, N): the transform's cases, a single block (N < B = 256), whole blocks
+# (N a multiple of B) and a last block of one degree
 @pytest.mark.parametrize("m, N", [(1, 1), (3, 2), (6, 97), (50, 300), (1616, 17377),
-                                  (20, _BLOCK - 1), (30, 3 * _BLOCK)])
+                                  (20, 255), (30, 768), (20, 257)])
 @pytest.mark.parametrize("complex_data", [False, True])
 def test_chebyshev_matrix_matches_the_dense_products(m, N, complex_data):
     rng = np.random.default_rng(m + N + 1)
     x = np.cos(np.pi * rng.random(m))
     x[:2] = [1.0, -1.0][:m]
     A = basis_matrix(chebyshev_system(), np.arange(N), x)
-    op = ChebyshevMatrix(x, N)
+    op = FourierTables.chebyshev(x, N)
     assert op.shape == (m, N) and op.dtype == np.float64
-    w = rng.normal(size=m)
-    empty, sparse, full = np.zeros(N), np.zeros(N), rng.normal(size=N)
-    sparse[rng.choice(N, min(N, 5), replace=False)] = rng.normal(size=min(N, 5))
-    ones = np.where(rng.random(N) < 0.5, -1.0, 1.0)
-    if complex_data:
-        w = w + 1j * rng.normal(size=m)
-        sparse = sparse * (0.6 - 0.8j)
-        full = full + 1j * rng.normal(size=N)
-        ones = ones * 1j
+    w = rng.normal(size=m) + (1j * rng.normal(size=m) if complex_data else 0)
     cases = [(op.adjoint(w[None])[0], w @ A)]
-    for v in (empty, sparse, full, ones):
+    # empty, sparse and full supports, and one step of the gather and a column more
+    step = systems._FORWARD_COLUMNS
+    for size in sorted({0, min(5, N), min(step, N), min(step + 1, N), N}):
+        v = _random_vector(rng, N, size, complex_data)
         cases += [(op.forward(v[None])[0], A @ v), (op @ v, A @ v)]
     for got, want in cases:
         assert got.shape == want.shape
-        assert np.iscomplexobj(got) == (complex_data and np.iscomplexobj(want))
+        assert np.iscomplexobj(got) == complex_data
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+    # the tables keep one half each, and nbytes counts the transform's arrays
+    B = min(N, 256)
+    tables = (-(-N // B) + B) * m * 16
+    transform = sum(a.nbytes for a in vars(op.fast).values() if isinstance(a, np.ndarray))
+    assert op._left.nbytes + op._right.nbytes == tables
+    assert op.nbytes == tables + op._scale.nbytes + op._points.nbytes + transform
 
 
 # ---------------------------------------------------------------------------

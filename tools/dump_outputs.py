@@ -20,7 +20,9 @@ their last digits; ``--compare`` accepts that and nothing else: every token
 that is not a float (text, integers, counts, flags) must match exactly, and
 floats must agree within ``--rtol`` and ``--atol`` (default 1e-6 and 1e-12).
 It prints every mismatch with its section and both values, then the largest
-relative float difference, and exits 1 if there was any mismatch:
+relative float difference and the largest share of the tolerance used,
+max |x - y| / (atol + rtol |x|) (1 at the gate), and exits 1 if there was
+any mismatch:
 
     PYTHONPATH=src python tools/dump_outputs.py --compare before.txt after.txt --rtol 1e-4
 """
@@ -207,7 +209,7 @@ def compare(before: str, after: str, rtol: float = 1e-6, atol: float = 1e-12) ->
     if len(a_sections) != len(b_sections):
         print(f"section counts differ: {len(a_sections)} vs {len(b_sections)}")
         return 1
-    numbers, floats, mismatches, worst = 0, 0, 0, 0.0
+    numbers, floats, mismatches, worst, share = 0, 0, 0, 0.0, 0.0
     for (title, a_text), (b_title, b_text) in zip(a_sections, b_sections):
         if title != b_title:
             print(f"section titles differ: {title!r} vs {b_title!r}")
@@ -227,6 +229,7 @@ def compare(before: str, after: str, rtol: float = 1e-6, atol: float = 1e-12) ->
                 floats += 1
                 if x != y:
                     worst = max(worst, abs(x - y) / max(abs(x), atol))
+                    share = max(share, abs(x - y) / (atol + rtol * abs(x)))
                 if abs(x - y) > atol + rtol * abs(x):
                     print(f"{title}: {key} {a} vs {b}")
                     mismatches += 1
@@ -235,7 +238,8 @@ def compare(before: str, after: str, rtol: float = 1e-6, atol: float = 1e-12) ->
                 mismatches += 1
     verdict = f"{mismatches} mismatches" if mismatches else "match"
     print(f"{verdict}: {numbers} numbers, {floats} floats, "
-          f"largest relative float difference {worst:.3g}")
+          f"largest relative float difference {worst:.3g}, "
+          f"largest share of the tolerance {share:.3g}")
     return 1 if mismatches else 0
 
 
