@@ -175,9 +175,11 @@ class FunctionRecovery:
         return np.atleast_1d(evaluate_function(self.expansion_, _nonempty(X)))
 
     def transform(self, X) -> np.ndarray:
-        """Basis features over the fitted index set, one row per point."""
+        """Basis features over the fitted index set, one row per point, in
+        the expansion's system: ``transform(X) @ coefficients_`` is
+        ``predict(X)``, the raw Legendre polynomials in the Legendre regime."""
         self._check_fitted()
-        return basis_matrix(self.config_.system, self.index_set_, _nonempty(X))
+        return basis_matrix(self.expansion_.system, self.index_set_, _nonempty(X))
 
     def score(self, X, y) -> float:
         """Negative mean squared error of the prediction (higher is better)."""

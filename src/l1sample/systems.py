@@ -327,20 +327,33 @@ def basis_matrix(system: System, indices, points) -> np.ndarray:
 
 
 def _power_table(u: np.ndarray, n: int) -> np.ndarray:
-    """Rows u^0 .. u^(n-1) by successive products, then their conjugates."""
-    table = np.empty((2 * n, u.shape[0]), dtype=np.complex128)
+    """Rows u^0 .. u^(n-1) by successive products."""
+    table = np.empty((n, u.shape[0]), dtype=np.complex128)
     table[0] = 1.0
     for i in range(1, n):
         np.multiply(table[i - 1], u, out=table[i])
-    np.conjugate(table[:n], out=table[n:])
     return table
+
+
+def _digit_tables(u: np.ndarray, top: int, B: int):
+    """The power tables of the base-B digits of 0..top, lowest digit first,
+    one at a time: table i holds the rows (u^(B^i))^j for the digits j,
+    0 <= j < B, the last one stopping at top's leading digit.  The factor of
+    k = sum_i j_i B^i is the product of row j_i of each table i."""
+    while True:
+        top, lead = divmod(top, B)
+        table = _power_table(u, B if top else lead + 1)
+        yield table
+        if not top:
+            return
+        u = table[B - 1] * u
 
 
 # Largest base of _fourier_synthesis's digits.  Up to |k_a| = 1023 the digits
 # are the two of k = b B + j; past it a digit is added instead, so the tables
 # grow with log |k_a| rather than sqrt |k_a|.  Two terms with |k| <= 10^6 at
-# 5,000 points peaked at 251 MB (0.32 s) with two digits of base 1001, at
-# 8.4 MB (0.011 s) with four of base 32, and at 0.5 MB with the direct
+# 5,000 points peaked at 160 MB (66 ms) with two digits of base 1001, at
+# 5.5 MB (4.8 ms) with four of base 32, and at 0.5 MB with the direct
 # exponentials.
 _RADIX = 32
 
@@ -351,11 +364,12 @@ def _fourier_synthesis(indices: np.ndarray, values: np.ndarray, points: np.ndarr
     one per point and term.
 
     On axis a, with u = exp(2 pi i x_a) and B = ceil(sqrt(max |k_a| + 1)),
-    the tables u^j (0 <= j < B) and u^(b B) are built by successive
-    products, and the factor of |k_a| = b B + j is u^(b B) u^j, conjugated
-    when k_a < 0.  (Past max |k_a| = 1023, B is ``_RADIX`` and |k_a| has as
-    many base-B digits as it needs, one table each.)  The factors multiply
-    over the axes, and the terms sum against the coefficients.
+    ``_digit_tables`` builds the tables u^j (0 <= j < B) and u^(b B) by
+    successive products, one at a time, and the factor of |k_a| = b B + j
+    is u^(b B) u^j, conjugated in place when k_a < 0.  (Past max |k_a| =
+    1023, B is ``_RADIX`` and |k_a| has as many base-B digits as it needs,
+    one table each.)  The factors multiply over the axes, and the terms sum
+    against the coefficients.
 
     Accuracy, with eps = 2^-53: u is within about 16 eps of the exact
     exp(2 pi i x_a) (the rounded phase 2 pi x_a, then the exponential), and
@@ -374,22 +388,17 @@ def _fourier_synthesis(indices: np.ndarray, values: np.ndarray, points: np.ndarr
     """
     terms = None
     for k, x in zip(indices.T, points.T):
-        rest, negative = np.abs(k), k < 0
-        B = min(math.isqrt(int(rest.max())) + 1, _RADIX)
-        u = np.exp(2j * np.pi * x)
-        while True:
+        rest, negative = np.abs(k), (k < 0)[:, None]
+        top = int(rest.max())
+        B = min(math.isqrt(top) + 1, _RADIX)
+        for table in _digit_tables(np.exp(2j * np.pi * x), top, B):
             rest, digit = np.divmod(rest, B)
-            last = not rest.any()
-            # the last digit's table stops at the largest digit it holds
-            table = _power_table(u, int(digit.max()) + 1 if last else B)
-            factor = table[digit + (table.shape[0] // 2) * negative]
+            factor = table[digit]
+            np.conjugate(factor, out=factor, where=negative)
             if terms is None:
                 terms = factor
             else:
                 terms *= factor
-            if last:
-                break
-            u = table[B - 1] * u
     return values @ terms
 
 
@@ -700,19 +709,22 @@ class FourierTables:
 
         A[l, p Q + q] = L[l, p] R[l, q],
 
-    with L[l, p] = u^(p B - D) and R[l, q] = u^q at u = exp(2 pi i x_l) in
-    d = 1, and in d >= 2 the Khatri-Rao (row-wise Kronecker) products of the
-    two groups' per-axis power tables u_a^j, 0 <= j <= 2D, the centring phase
-    prod_a u_a^(-D) folded into L.  ``_power_table`` builds the tables as
-    rows of length m, the powers and then their conjugates: (P + Q) 2m
-    numbers instead of m N, where P Q >= N (equal for d >= 2).
+    L and R being the Khatri-Rao (row-wise Kronecker) products of the two
+    halves of the power tables of u_a = exp(2 pi i x_a) that
+    ``_digit_tables`` builds for the digits of k_a + D, 0 <= k_a + D <= 2D:
+    two digits of base B in d = 1, so L[l, p] = u^(p B - D) and R[l, q] =
+    u^q, and one digit of base 2D + 1 per axis in d >= 2.  The centring
+    phase prod_a u_a^(-D) is folded into L.  Each table is stored once, as
+    rows of length m: (P + Q) m numbers instead of m N, where P Q >= N
+    (equal for d >= 2).
 
-    The adjoint is one GEMM per trial, A^H w = conj(L)^T diag(w) conj(R), a
-    (P, Q) array.  The forward product gathers the support's rows of both
-    tables while the support has at most sqrt(P Q) columns (P in d = 2);
-    past that it is one GEMM X R^T of x as a (P, Q) array X, then the
-    row-wise product with L^T summed over p.  Each trial has its own
-    products, so a row rounds as it would alone.
+    The adjoint is one GEMM per trial, A^H w = conj(L^T diag(conj w) R), a
+    (P, Q) array, as ``bpdn``'s dense adjoint takes it: no conjugate
+    tables.  The forward product gathers the support's rows of both tables
+    while the support has at most sqrt(P Q) columns (P in d = 2); past
+    that it is one GEMM X R^T of x as a (P, Q) array X, then the row-wise
+    product with L^T summed over p.  Each trial has its own products, so a
+    row rounds as it would alone.
 
     ``FourierTables.chebyshev(points, N)`` is the real form: ``A =
     basis_matrix(chebyshev_system(), range(N), points)``, entries c_k
@@ -740,27 +752,22 @@ class FourierTables:
         self._points = _torus_points(points, half_width)
         (m, d), D = self._points.shape, half_width
         q = 2 * D + 1
-        u = np.exp(2j * np.pi * self._points.T)
+        # the tables of the digits of k_a + D, the highest axis and digit
+        # first, as in the columns' flat index; one table in d = 1 if D = 0
+        B = math.isqrt(q - 1) + 1 if d == 1 else q  # ceil(sqrt(q)) in d = 1
+        tables = [t for ua in np.exp(2j * np.pi * self._points.T)
+                  for t in reversed(list(_digit_tables(ua, q - 1, B)))]
         phase = np.exp(-2j * np.pi * D * self._points.sum(axis=1))
-        if d == 1:
-            B = math.isqrt(q - 1) + 1  # ceil(sqrt(q))
-            right = _power_table(u[0], B)
-            left = _power_table(right[B - 1] * u[0], -(-q // B))
-            P = left.shape[0] // 2
-            left[:P] *= phase
-            np.conjugate(left[:P], out=left[P:])
-        else:
-            powers = [_power_table(ua, q)[:q] for ua in u]
-            tables = _row_kronecker(powers[:d // 2]) * phase, _row_kronecker(powers[d // 2:])
-            left, right = (np.concatenate((t, t.conj())) for t in tables)
-        self._left, self._right, self._columns = left, right, IndexSet(BOX, d, D)
-        self._system = fourier_system(d)
+        h = len(tables) // 2
+        self._left = _row_kronecker(tables[:h] + [phase[None]])
+        self._right = _row_kronecker(tables[h:])
+        self._columns, self._system = IndexSet(BOX, d, D), fourier_system(d)
         self.shape = (m, q**d)
         # the forward product's switch from the gather to the GEMM; single
         # products on two cores crossed over at 33-66 nonzeros in d = 1
         # (1200 x 1087), 61-122 in d = 2 (250 x 3721, P = 61) and 120-240 in
         # d = 3 (200 x 3375, P = 15, Q = 225)
-        self._gather_limit = math.isqrt(left.shape[0] * right.shape[0] // 4)
+        self._gather_limit = math.isqrt(self._left.shape[0] * self._right.shape[0])
 
     @classmethod
     def chebyshev(cls, points, N: int) -> "FourierTables":
@@ -799,17 +806,17 @@ class FourierTables:
                     y += _parts(x[s] * self._scale[s]) @ _gathered(self._left, self._right, s)
                 o[...] = _joined(y[:, ::2] + y[:, 1::2])
             return out
-        P, Q = self._left.shape[0] // 2, self._right.shape[0] // 2
+        P, Q = self._left.shape[0], self._right.shape[0]
         for x, o in zip(X, out):
             support = x.nonzero()[0]
             if support.size <= self._gather_limit:
-                np.matmul(x[support], _gathered(self._left[:P], self._right[:Q], support), out=o)
+                np.matmul(x[support], _gathered(self._left, self._right, support), out=o)
             else:
                 # in d = 1 the last block of Q columns runs past N
                 if N < P * Q:
                     x = np.concatenate((x, np.zeros(P * Q - N, dtype=x.dtype)))
-                Y = x.reshape(P, Q) @ self._right[:Q]
-                Y *= self._left[:P]
+                Y = x.reshape(P, Q) @ self._right
+                Y *= self._left
                 Y.sum(axis=0, out=o)
         return out
 
@@ -826,11 +833,11 @@ class FourierTables:
                 y *= self._scale
                 o[...] = _joined(y)
             return out
-        P, Q = self._left.shape[0] // 2, self._right.shape[0] // 2
+        P, Q = self._left.shape[0], self._right.shape[0]
         out = np.empty((W.shape[0], P * Q), dtype=np.complex128)
         for w, o in zip(W, out):
-            np.matmul(self._left[P:] * w, self._right[Q:].T, out=o.reshape(P, Q))
-        return out[:, :N]
+            np.matmul(self._left * w.conj(), self._right.T, out=o.reshape(P, Q))
+        return np.conjugate(out[:, :N], out=out[:, :N])
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         """A z from the basis functions of the support's columns, not the tables."""

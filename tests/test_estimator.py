@@ -99,9 +99,23 @@ def test_fit_predict_score_on_exact_fourier_data():
     assert est.score(pts, y) > -1e-14
 
 
-def test_fitted_attributes_are_consistent():
-    _, pts, y = fourier_training_data()
-    est = FunctionRecovery(system="fourier", dim=1, M=1, eta=0.0).fit(pts, y)
+# (regime, system of the true expansion, points): the Fourier lattice, and
+# Chebyshev nodes for the polynomial regimes, whose expansion is in the
+# Chebyshev polynomials and the raw Legendre polynomials
+_CHEBYSHEV_NODES = np.cos(np.pi * (np.arange(12) + 0.5) / 12)
+
+
+@pytest.mark.parametrize("regime, system, pts", [
+    ("fourier", fourier_system(1), np.arange(7) / 7),
+    ("chebyshev", chebyshev_system(), _CHEBYSHEV_NODES),
+    ("legendre_preconditioned", legendre_raw_system(), _CHEBYSHEV_NODES),
+], ids=["fourier", "chebyshev", "legendre"])
+def test_fitted_attributes_are_consistent(regime, system, pts):
+    keys = [(1,), (-2,)] if regime == "fourier" else [0, 2]
+    f = CoefficientExpansion(system, dict(zip(keys, [1.0, 0.5j])))
+    y = evaluate_function(f, pts)
+    est = FunctionRecovery(system=regime, M=1 if regime == "fourier" else 4, eta=0.0).fit(pts, y)
+    assert est.expansion_.system == system
     assert est.coefficients_.shape == (len(est.index_set_),)
     keys = est.index_set_.as_tuples()
     vec = {k: v for k, v in zip(keys, est.coefficients_) if v != 0}
@@ -110,6 +124,9 @@ def test_fitted_attributes_are_consistent():
     assert features.shape == (len(pts), len(est.index_set_))
     recombined = features @ est.coefficients_
     assert np.abs(recombined - y).max() < 1e-7
+    # transform(X) @ coefficients_ is predict(X) at any points, not only the samples
+    fresh = np.linspace(-0.9, 0.9, 5)
+    assert np.abs(est.transform(fresh) @ est.coefficients_ - est.predict(fresh)).max() < 1e-12
 
 
 def test_auto_cutoff_uses_class_rule():

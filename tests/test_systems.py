@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -541,6 +542,11 @@ def test_fourier_tables_match_the_dense_products(d, D, m, lattice, complex_data)
     for got, want in cases:
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+    # each table once, no conjugate copy: P + Q rows of m complex numbers,
+    # P Q >= N in d = 1 (B = ceil(sqrt(q)) columns per block), P Q = N in d >= 2
+    B = math.isqrt(q - 1) + 1
+    P, Q = (-(-q // B), B) if d == 1 else (q ** (d // 2), q ** (d - d // 2))
+    assert op._left.nbytes + op._right.nbytes == (P + Q) * m * 16
     if d == 2:
         assert limit == q
     if (d, D) == (2, 30):

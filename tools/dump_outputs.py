@@ -7,7 +7,9 @@ fixed points, ``score`` on the training points and ``transform`` at the
 first seven of the fixed points; one d=2 fit predicts at more points than
 ``evaluate_function`` takes in one block, so the comparison covers the
 blocked synthesis.  A d=3 fit and a d=2 ``fourier_grid`` recovery cover the
-Fourier tables' Khatri-Rao products and lattice points.
+Fourier tables' Khatri-Rao products and lattice points.  Fourier expansions
+with |k_a| >= 1024 and negative keys, evaluated by ``evaluate_function`` in
+d=1 and d=2, cover the synthesis's digits past the first two.
 Run it on two checkouts and compare the files:
 
     PYTHONPATH=src python tools/dump_outputs.py > before.txt
@@ -39,6 +41,7 @@ import sys
 import numpy as np
 
 from l1sample import (
+    CoefficientExpansion,
     ExperimentConfig,
     FunctionRecovery,
     SamplePlan,
@@ -137,6 +140,18 @@ FIT_CASES = {
 PREDICT_POINTS = 7
 PREDICT_STRIDE = 25
 
+# Fourier expansions evaluated by evaluate_function: (dimension, keys, seed of
+# the coefficients and the points, point count).  Past max |k_a| = 1023 the
+# synthesis takes base-32 digits of |k_a|, one power table each: four at
+# max |k_a| = 10^6 on every axis here, and negative keys take conjugates.
+SYNTHESIS_CASES = {
+    "synthesis d=1 |k| >= 1024": (
+        1, [0, 1, -1, 1023, -1024, 1025, 40_000, -123_456, -999_999, 1_000_000], 19, 40),
+    "synthesis d=2 |k| >= 1024": (
+        2, [(0, 0), (3, -5_000), (-1_024, 7), (65_537, -65_537), (-2, 1_000_000),
+            (-777_777, -31)], 20, 40),
+}
+
 RECOVER_BASE = ["recover", "--class-kind", "wiener_mixed", "--r", "1", "--n", "4",
                 "--step-ratio", str(STEP)]
 RECOVER_CASES = {
@@ -173,6 +188,14 @@ def _fit(params: dict, klass, support, point_system, m: int, seed: int,
             + f"score on the training points {est.score(pts, y)!r}\n"
             + f"transform {features.shape} {_pairs(features.ravel())}\n"
             + json.dumps(est.result_.to_json(), indent=2, sort_keys=True) + "\n")
+
+
+def _synthesis(dim: int, keys, seed: int, count: int) -> str:
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    f = CoefficientExpansion(fourier_system(dim), dict(zip(keys, values)))
+    pts = draw_points(f.system, count, SamplePlan(seed))
+    return f"values {_pairs(evaluate_function(f, pts))}\n"
 
 
 def _pairs(values) -> str:
@@ -263,6 +286,8 @@ def main() -> int:
         _section(title, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     for title, case in FIT_CASES.items():
         _section(title, _fit(*case))
+    for title, case in SYNTHESIS_CASES.items():
+        _section(title, _synthesis(*case))
     for title, argv in RECOVER_CASES.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
