@@ -68,7 +68,6 @@ from .recovery import (
     legendre_truncation,
     recover,
     sample_count,
-    sample_points,
     search_set,
 )
 from .systems import (

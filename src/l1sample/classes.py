@@ -265,7 +265,6 @@ def random_unit_function(
     support,
     sparsity: Optional[int] = None,
     seed: int = 0,
-    system: Optional[System] = None,
     placement: str = "random",
 ) -> CoefficientExpansion:
     """A random member of the class's unit sphere supported on the given set.
@@ -284,7 +283,7 @@ def random_unit_function(
     """
     if placement not in ("random", "head"):
         raise ValueError("placement must be 'random' or 'head'")
-    system = system if system is not None else default_system(klass)
+    system = default_system(klass)
     if isinstance(support, IndexSet):
         idx = support.indices()
     else:
@@ -306,13 +305,11 @@ def random_unit_function(
         N = sparsity
     if system.kind == FOURIER:
         g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        w = _weights(klass, idx)
         keys = [tuple(int(v) for v in row) for row in idx]
     else:
         g = rng.standard_normal(N).astype(np.complex128)
-        w = _weights(klass, idx)
         keys = [int(v) for v in idx]
-    values = g / w
+    values = g / _weights(klass, idx)
     f = CoefficientExpansion(system, dict(zip(keys, values)))
     norm = class_norm(klass, f)
     if norm == 0.0:

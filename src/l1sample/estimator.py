@@ -149,9 +149,8 @@ class FunctionRecovery:
 
     def fit(self, X, y) -> "FunctionRecovery":
         config = self._build_config()
-        pts = check_sample_points(X, config.system)
-        vals = check_sample_values(y, pts.shape[0])
-        result = recover(vals, config, pts)
+        # recover() and BpdnProblem reject empty, non-finite and mismatched input
+        result = recover(y, config, X)
         self.config_ = config
         self.result_ = result
         self.expansion_ = result.expansion
@@ -159,7 +158,7 @@ class FunctionRecovery:
         # indexed like the search set; where() drops the signed zeros
         z = result.solution.z
         self.coefficients_ = np.where(z != 0, z, 0).astype(np.complex128)
-        self.n_features_in_ = pts.shape[1] if pts.ndim == 2 else 1
+        self.n_features_in_ = config.system.dim
         return self
 
     def _check_fitted(self) -> None:
@@ -183,8 +182,6 @@ class FunctionRecovery:
 
     def score(self, X, y) -> float:
         """Negative mean squared error of the prediction (higher is better)."""
-        self._check_fitted()
-        pts = check_sample_points(X, self.expansion_.system)
-        vals = check_sample_values(y, pts.shape[0])
-        pred = evaluate_function(self.expansion_, pts)
+        pred = self.predict(X)
+        vals = check_sample_values(y, len(pred))
         return float(-np.mean(np.abs(pred - vals) ** 2))

@@ -60,18 +60,14 @@ def best_n_term_l2(x, n: int) -> float:
     return float(np.sqrt((a[order[n:]] ** 2).sum()))
 
 
-def _drop_smallest(klass: FunctionClass, f: CoefficientExpansion, n: int):
-    """Split f into its n largest terms (by weighted modulus) and the rest."""
+def _class_best_term(klass: FunctionClass, f: CoefficientExpansion, n: int):
+    """Best n-term error in the class (quasi-)norm, and the residual: f
+    without its n largest terms by weighted modulus."""
     a = _weighted_moduli(klass, f)
-    order = _largest_first(a)
+    dropped = _largest_first(a)[n:]
     keys = [k for k, _ in f.items()]
-    kept = {keys[i]: f.coefficients[keys[i]] for i in order[:n]}
-    rest = {keys[i]: f.coefficients[keys[i]] for i in order[n:]}
-    return (
-        CoefficientExpansion(f.system, kept),
-        CoefficientExpansion(f.system, rest),
-        a[order[n:]],
-    )
+    rest = {keys[i]: f.coefficients[keys[i]] for i in dropped}
+    return _sequence_norm(klass, a[dropped]), CoefficientExpansion(f.system, rest)
 
 
 def best_n_term_weighted(klass: FunctionClass, f: CoefficientExpansion, n: int) -> float:
@@ -194,12 +190,6 @@ class ProductBoundResult:
     @property
     def bound(self) -> float:
         return self.factor1 * self.factor2
-
-
-def _class_best_term(klass: FunctionClass, f: CoefficientExpansion, n: int):
-    """Best n-term error in the class (quasi-)norm plus the residual."""
-    _, rest, dropped = _drop_smallest(klass, f, n)
-    return _sequence_norm(klass, dropped), rest
 
 
 def product_bound_check(

@@ -48,7 +48,6 @@ from .systems import (
     _normalize_index,
     _point_array,
     basis_matrix,
-    draw_points,
     legendre_raw_system,
     make_index_set,
     uniform_bound,
@@ -115,7 +114,6 @@ class RecoveryConfig:
     c_sample: float = 1.0
     c_eta: float = 1.0
     eta_override: Optional[float] = None
-    plan: Optional[SamplePlan] = None
     feas_tol: Optional[float] = None
     obj_tol: float = 1e-7
     max_iters: int = 50_000
@@ -212,14 +210,6 @@ def regime_plan(config: RecoveryConfig, seed: int) -> SamplePlan:
     if _REGIMES[config.theorem].lattice:
         return SamplePlan(seed=seed, mode="grid", grid_size=search_set(config).half_width)
     return SamplePlan(seed=seed)
-
-
-def sample_points(config: RecoveryConfig, m: Optional[int] = None) -> np.ndarray:
-    """Draw the regime's sample points; requires a plan on the config."""
-    if config.plan is None:
-        raise ValueError("config has no sampling plan")
-    count = sample_count(config) if m is None else m
-    return draw_points(config.system, count, config.plan)
 
 
 @dataclass(frozen=True)

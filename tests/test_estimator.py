@@ -152,7 +152,8 @@ def test_class_of_another_family_fails_before_any_solve(monkeypatch):
         FunctionRecovery(system=fourier_system(2), n=4).fit(np.zeros((5, 2)), np.ones(5))
 
 
-def test_predict_holds_no_reduced_copy_of_the_points():
+def torus2d_fit():
+    """A five-term expansion in d=2, fitted from its full 11 x 11 lattice."""
     f = CoefficientExpansion(fourier_system(2), {
         (0, 0): 1.0, (1, -2): 0.5j, (-3, 1): -0.25, (2, 2): 0.3, (-1, -1): 0.2})
     grid = np.arange(11) / 11.0
@@ -160,6 +161,11 @@ def test_predict_holds_no_reduced_copy_of_the_points():
     est = FunctionRecovery(system="fourier", dim=2, M=1, eta=0.0, step_ratio=0.0625)
     est.fit(pts, evaluate_function(f, pts))
     assert len(est.expansion_) == 5
+    return f, est
+
+
+def test_predict_holds_no_reduced_copy_of_the_points():
+    _, est = torus2d_fit()
     X = np.random.default_rng(0).random((300_000, 2))
     tracemalloc.start()
     try:
@@ -171,6 +177,32 @@ def test_predict_holds_no_reduced_copy_of_the_points():
     # not another points-sized array (4.8 MB here)
     assert peak <= out.nbytes + 32 * 16 * _EVAL_CHUNK
     assert np.array_equal(out, evaluate_function(est.expansion_, X))
+
+
+def test_score_holds_no_reduced_copy_of_the_points():
+    f, est = torus2d_fit()
+    X = np.random.default_rng(0).random((300_000, 2))
+    vals = evaluate_function(f, X)
+    tracemalloc.start()
+    try:
+        score = est.score(X, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the prediction, its residual and the moduli (12.0 MB measured), not
+    # another points-sized array (4.8 MB here)
+    assert peak <= 2.5 * vals.nbytes + 32 * 16 * _EVAL_CHUNK
+    assert score == float(-np.mean(np.abs(est.predict(X) - vals) ** 2))
+
+
+def test_fit_rejects_bad_input():
+    _, pts, y = fourier_training_data()
+    est = FunctionRecovery(system="fourier", dim=1, M=1, eta=0.0)
+    bad = [([], []), (np.append(pts[1:], np.nan), y), (pts, np.append(y[1:], np.inf)),
+           (pts, y[1:])]
+    for X, values in bad:
+        with pytest.raises(ValueError):
+            est.fit(X, values)
 
 
 def test_chebyshev_path():

@@ -30,7 +30,6 @@ from l1sample.recovery import (
     recover,
     regime_plan,
     sample_count,
-    sample_points,
     search_set,
 )
 from l1sample.systems import (
@@ -216,16 +215,28 @@ def test_build_matrix_shape_and_bound():
         build_matrix(cfg, np.empty(0))
 
 
-def test_sample_points_needs_plan():
-    cfg = grid_config(M=4, n=4)
-    with pytest.raises(ValueError):
-        sample_points(cfg)
-    planned = grid_config(
-        M=4, n=4, plan=SamplePlan(seed=1, mode="grid", grid_size=25)
-    )
-    pts = sample_points(planned)
-    assert pts.shape == (sample_count(planned), 1)
-    assert sample_points(planned, m=5).shape == (5, 1)
+@pytest.mark.parametrize("system, theorem", [
+    (fourier_system(1), FOURIER_GRID),
+    (fourier_system(2), FOURIER_GRID),
+    (fourier_system(1), FOURIER3),
+    (fourier_system(2), FOURIER3),
+    (chebyshev_system(), CHEBYSHEV_REGIME),
+    (legendre_preconditioned_system(), LEGENDRE_REGIME),
+])
+def test_regime_plan_draws_the_regime_points(system, theorem):
+    cfg = RecoveryConfig(system, theorem, n=4, M=4)
+    m = sample_count(cfg)
+    pts = draw_points(cfg.system, m, regime_plan(cfg, seed=1))
+    if system.kind == "fourier":
+        assert pts.shape == (m, system.dim)
+        assert pts.min() >= 0.0 and pts.max() < 1.0
+        # the lattice (1/q){0..q-1}^d of the search box's side q
+        q = 2 * search_set(cfg).half_width + 1
+        on_lattice = np.abs(pts * q - np.round(pts * q)).max() < 1e-9
+        assert on_lattice == (theorem == FOURIER_GRID)
+    else:
+        assert pts.shape == (m,)
+        assert pts.min() >= -1.0 and pts.max() <= 1.0
 
 
 # ---------------------------------------------------------------------------
