@@ -27,8 +27,8 @@ from .systems import (
     System,
     _fourier_synthesis,
     _index_array,
-    _normalize_index,
     _point_array,
+    _torus_rows,
     basis_matrix,
     chebyshev_system,
     fourier_system,
@@ -104,9 +104,7 @@ def default_system(klass: FunctionClass) -> System:
 def _weights(klass: FunctionClass, idx: np.ndarray) -> np.ndarray:
     idx = np.asarray(idx)
     if klass.kind == POLY_WIENER:
-        return (1.0 + idx.astype(float).reshape(-1)) ** klass.r
-    if idx.ndim == 1:
-        idx = idx.reshape(-1, 1)
+        return (1.0 + idx.astype(float)) ** klass.r
     if klass.kind in (WIENER_MIXED, SOBOLEV_MIXED):
         return np.prod((1.0 + np.abs(idx)) ** klass.r, axis=1)
     return (1.0 + np.abs(idx).max(axis=1)) ** klass.r
@@ -114,18 +112,7 @@ def _weights(klass: FunctionClass, idx: np.ndarray) -> np.ndarray:
 
 def index_weight(klass: FunctionClass, index) -> float:
     """The class's per-index weight; always >= 1."""
-    key = _normalize_index(index)
-    if klass.kind == POLY_WIENER:
-        if not isinstance(key, int) or key < 0:
-            raise ValueError("polynomial degrees must be nonnegative ints")
-        idx = np.array([key], dtype=np.int64)
-    else:
-        if isinstance(key, int):
-            key = (key,)
-        if len(key) != klass.d:
-            raise ValueError("index dimension does not match the class")
-        idx = np.asarray([key], dtype=np.int64)
-    return float(_weights(klass, idx)[0])
+    return float(_weights(klass, [default_system(klass).key(index)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -135,29 +122,19 @@ def index_weight(klass: FunctionClass, index) -> float:
 class CoefficientExpansion:
     """A finite complex expansion sum_k c_k b_k over one system.
 
-    Keys are d-tuples of ints for Fourier systems and plain ints for
-    polynomial systems.
+    Every index given to it, as a key or to ``get`` and ``vector``, is read
+    by ``System.key``: a d-tuple of ints for Fourier systems, a nonnegative
+    int degree for polynomial systems.
     """
 
     def __init__(self, system: System, coefficients: Mapping):
         self.system = system
-        coeffs = {}
-        for key, value in coefficients.items():
-            norm_key = _normalize_index(key)
-            if system.kind == FOURIER:
-                if isinstance(norm_key, int):
-                    norm_key = (norm_key,)
-                if len(norm_key) != system.dim:
-                    raise ValueError("index dimension does not match the system")
-            else:
-                if not isinstance(norm_key, int) and len(norm_key) == 1:
-                    norm_key = norm_key[0]
-                if not isinstance(norm_key, int) or norm_key < 0:
-                    raise ValueError("polynomial degrees must be nonnegative ints")
-            if norm_key in coeffs:
-                raise ValueError(f"duplicate index {norm_key!r}")
-            coeffs[norm_key] = complex(value)
-        self.coefficients = coeffs
+        self.coefficients = {}
+        for index, value in coefficients.items():
+            key = system.key(index)
+            if key in self.coefficients:
+                raise ValueError(f"duplicate index {key!r}")
+            self.coefficients[key] = complex(value)
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -176,17 +153,12 @@ class CoefficientExpansion:
         return sorted(self.coefficients.keys())
 
     def get(self, index, default=0j) -> complex:
-        key = _normalize_index(index)
-        if self.system.kind == FOURIER and isinstance(key, int):
-            key = (key,)
-        return self.coefficients.get(key, default)
+        return self.coefficients.get(self.system.key(index), default)
 
     def support_array(self) -> np.ndarray:
         keys = self.support()
-        if self.system.kind == FOURIER:
-            if not keys:
-                return np.zeros((0, self.system.dim), dtype=np.int64)
-            return np.asarray(keys, dtype=np.int64)
+        if self.system.kind == FOURIER and not keys:
+            return np.zeros((0, self.system.dim), dtype=np.int64)
         return np.asarray(keys, dtype=np.int64)
 
     def values_array(self) -> np.ndarray:
@@ -195,12 +167,8 @@ class CoefficientExpansion:
     def vector(self, indices) -> np.ndarray:
         """Coefficients aligned to a given index order (zeros where absent)."""
         if isinstance(indices, IndexSet):
-            keys = indices.as_tuples()
-        else:
-            keys = [_normalize_index(k) for k in indices]
-        if self.system.kind == FOURIER:
-            keys = [(k,) if isinstance(k, int) else k for k in keys]
-        return np.asarray([self.coefficients.get(k, 0j) for k in keys], dtype=np.complex128)
+            indices = indices.indices()
+        return np.asarray([self.get(k) for k in indices], dtype=np.complex128)
 
     def max_order(self) -> int:
         """Largest absolute frequency component or polynomial degree."""
@@ -229,14 +197,8 @@ class CoefficientExpansion:
 
     @staticmethod
     def from_json(obj: dict) -> "CoefficientExpansion":
-        system = System.from_json(obj["system"])
-        coeffs = {}
-        for idx, re, im in obj["entries"]:
-            key = tuple(int(v) for v in idx)
-            if system.kind != FOURIER:
-                key = key[0]
-            coeffs[key] = complex(re, im)
-        return CoefficientExpansion(system, coeffs)
+        coeffs = {tuple(idx): complex(re, im) for idx, re, im in obj["entries"]}
+        return CoefficientExpansion(System.from_json(obj["system"]), coeffs)
 
 
 def _sequence_norm(klass: FunctionClass, a: np.ndarray) -> float:
@@ -284,11 +246,7 @@ def random_unit_function(
     if placement not in ("random", "head"):
         raise ValueError("placement must be 'random' or 'head'")
     system = default_system(klass)
-    if isinstance(support, IndexSet):
-        idx = support.indices()
-    else:
-        idx = np.asarray(support)
-    idx = _index_array(system, idx)
+    idx = _index_array(system, support)
     N = idx.shape[0]
     if N == 0:
         raise ValueError("support must be non-empty")
@@ -328,8 +286,9 @@ def evaluate_function(f: CoefficientExpansion, points):
     scalar = pts.ndim == 0 or (
         f.system.kind == FOURIER and pts.ndim == 1 and f.system.dim > 1
     )
-    if scalar:
-        pts = pts[None]
+    if f.system.kind == FOURIER:
+        pts = _torus_rows(pts, f.system.dim, "point")
+    pts = np.atleast_1d(pts)
     vals = np.zeros(pts.shape[0], dtype=np.complex128)
     if f.coefficients:
         support, values = f.support_array(), f.values_array()

@@ -184,4 +184,6 @@ class FunctionRecovery:
         """Negative mean squared error of the prediction (higher is better)."""
         pred = self.predict(X)
         vals = check_sample_values(y, len(pred))
-        return float(-np.mean(np.abs(pred - vals) ** 2))
+        # the residual overwrites the prediction and the squares its moduli
+        moduli = np.abs(np.subtract(pred, vals, out=pred))
+        return float(-np.mean(np.square(moduli, out=moduli)))

@@ -60,14 +60,11 @@ def best_n_term_l2(x, n: int) -> float:
     return float(np.sqrt((a[order[n:]] ** 2).sum()))
 
 
-def _class_best_term(klass: FunctionClass, f: CoefficientExpansion, n: int):
-    """Best n-term error in the class (quasi-)norm, and the residual: f
-    without its n largest terms by weighted modulus."""
+def _class_best_term(klass: FunctionClass, f: CoefficientExpansion, n: int) -> float:
+    """Best n-term error in the class (quasi-)norm: the norm of f without
+    its n largest terms by weighted modulus."""
     a = _weighted_moduli(klass, f)
-    dropped = _largest_first(a)[n:]
-    keys = [k for k, _ in f.items()]
-    rest = {keys[i]: f.coefficients[keys[i]] for i in dropped}
-    return _sequence_norm(klass, a[dropped]), CoefficientExpansion(f.system, rest)
+    return _sequence_norm(klass, a[_largest_first(a)[n:]])
 
 
 def best_n_term_weighted(klass: FunctionClass, f: CoefficientExpansion, n: int) -> float:
@@ -82,7 +79,7 @@ def best_n_term_weighted(klass: FunctionClass, f: CoefficientExpansion, n: int) 
     if klass.kind not in (WIENER_MIXED, SOBOLEV_MIXED):
         raise ValueError("weighted best-term errors are defined for the "
                          "weighted-l1 and weighted-l2 classes")
-    return _class_best_term(klass, f, n)[0]
+    return _class_best_term(klass, f, n)
 
 
 def stechkin_bound(p: float, n: int, quasi_norm: float = 1.0) -> float:
@@ -215,12 +212,16 @@ def product_bound_check(
     def target_error(g: CoefficientExpansion, n: int) -> float:
         if target_class is None:
             return best_n_term_l2(g, n)
-        return _class_best_term(target_class, g, n)[0]
+        return _class_best_term(target_class, g, n)
 
-    factor1, residual = _class_best_term(intermediate_class, f, n1)
+    a = _weighted_moduli(intermediate_class, f)
+    dropped = _largest_first(a)[n1:]
+    factor1 = _sequence_norm(intermediate_class, a[dropped])
     lhs = target_error(f, n1 + n2)
     if factor1 == 0.0:
         return ProductBoundResult(lhs, 0.0, 0.0, holds=lhs <= rtol)
-    factor2 = target_error(residual.scaled(1.0 / factor1), n2)
+    items = f.items()
+    residual = {items[i][0]: (1.0 / factor1) * items[i][1] for i in dropped}
+    factor2 = target_error(CoefficientExpansion(f.system, residual), n2)
     bound = factor1 * factor2
     return ProductBoundResult(lhs, factor1, factor2, holds=lhs <= bound * (1 + rtol))

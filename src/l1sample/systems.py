@@ -31,8 +31,7 @@ CHEBYSHEV = "chebyshev"
 LEGENDRE_PRECONDITIONED = "legendre_preconditioned"
 LEGENDRE_RAW = "legendre_raw"
 
-_POLYNOMIAL_KINDS = (CHEBYSHEV, LEGENDRE_PRECONDITIONED, LEGENDRE_RAW)
-_ALL_KINDS = (FOURIER,) + _POLYNOMIAL_KINDS
+_ALL_KINDS = (FOURIER, CHEBYSHEV, LEGENDRE_PRECONDITIONED, LEGENDRE_RAW)
 
 BOX = "box"
 SEARCH_BOX = "search_box"
@@ -67,18 +66,21 @@ class System:
         if self.kind != FOURIER and self.dim != 1:
             raise ValueError("polynomial systems are univariate")
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.kind in _POLYNOMIAL_KINDS
-
-    @property
-    def measure(self) -> str:
-        """Tag of the probability measure used for point sampling."""
+    def key(self, index) -> Union[int, tuple]:
+        """The canonical key of one index: a ``dim``-tuple of ints on the
+        torus, a nonnegative int degree otherwise.  A d = 1 Fourier key may
+        be given as an int, a degree as a 1-tuple; anything else raises."""
+        key = _normalize_index(index)
         if self.kind == FOURIER:
-            return "uniform-torus"
-        if self.kind == LEGENDRE_RAW:
-            return "uniform-interval"
-        return "arcsine"
+            key = (key,) if isinstance(key, int) else key
+            if len(key) != self.dim:
+                raise ValueError("index dimension does not match the system")
+            return key
+        if isinstance(key, tuple) and len(key) == 1:
+            key = key[0]
+        if not isinstance(key, int) or key < 0:
+            raise ValueError("polynomial degrees must be nonnegative ints")
+        return key
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}
@@ -223,24 +225,23 @@ def explicit_index_set(members: Iterable) -> IndexSet:
 # evaluation
 
 
+def _torus_rows(arr: np.ndarray, d: int, what: str) -> np.ndarray:
+    """Torus points or frequency vectors as an (n, d) array: a scalar or a
+    1-d array is one coordinate per row in d = 1 and one row in d > 1."""
+    if arr.ndim <= 1:
+        arr = arr.reshape(-1, 1) if d == 1 else arr.reshape(1, -1)
+    if arr.ndim != 2 or arr.shape[1] != d:
+        raise ValueError(f"{what} dimension does not match the system")
+    return arr
+
+
 def _point_array(system: System, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     # min and max propagate NaN and need no points-sized temporary
     if not (np.isfinite(pts.min(initial=0.0)) and np.isfinite(pts.max(initial=0.0))):
         raise ValueError("sample points must be finite")
     if system.kind == FOURIER:
-        d = system.dim
-        if pts.ndim == 0:
-            pts = pts.reshape(1, 1)
-        elif pts.ndim == 1:
-            if d == 1:
-                pts = pts[:, None]
-            elif pts.shape[0] == d:
-                pts = pts[None, :]
-            else:
-                raise ValueError("point dimension does not match the system")
-        if pts.ndim != 2 or pts.shape[1] != d:
-            raise ValueError("point dimension does not match the system")
+        pts = _torus_rows(pts, system.dim, "point")
         # the bits of np.mod(pts, 1.0), which rounds the same exact a - floor(a)
         # once, at a tenth of its cost, in one points-sized array
         canonical = np.floor(pts)
@@ -254,22 +255,9 @@ def _point_array(system: System, points) -> np.ndarray:
 
 
 def _index_array(system: System, indices) -> np.ndarray:
-    if isinstance(indices, IndexSet):
-        arr = indices.indices()
-    else:
-        arr = np.asarray(indices)
+    arr = indices.indices() if isinstance(indices, IndexSet) else np.asarray(indices)
     if system.kind == FOURIER:
-        d = system.dim
-        if arr.ndim == 1:
-            if d == 1:
-                arr = arr.reshape(-1, 1)
-            elif arr.shape[0] == d:
-                arr = arr.reshape(1, d)
-            else:
-                raise ValueError("index dimension does not match the system")
-        if arr.ndim != 2 or arr.shape[1] != d:
-            raise ValueError("index dimension does not match the system")
-        return arr.astype(np.int64)
+        return _torus_rows(arr, system.dim, "index").astype(np.int64)
     arr = np.atleast_1d(arr)
     if arr.ndim != 1:
         raise ValueError("polynomial systems use scalar degree indices")
@@ -634,11 +622,9 @@ def _torus_points(points, half_width: int) -> np.ndarray:
     if half_width < 0:
         raise ValueError("half_width must be >= 0")
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[1] < 1:
+    if pts.ndim not in (1, 2) or pts.ndim == 2 and pts.shape[1] < 1:
         raise ValueError("points must be an (m, d) array")
-    return _point_array(fourier_system(pts.shape[1]), pts)
+    return _point_array(fourier_system(pts.shape[1] if pts.ndim == 2 else 1), pts)
 
 
 def _support_product(system: System, columns: IndexSet, points: np.ndarray, z) -> np.ndarray:
@@ -846,15 +832,7 @@ class FourierTables:
 
 def evaluate_basis(system: System, index, point) -> complex:
     """Value of one basis function at one point."""
-    if system.kind == FOURIER:
-        idx = np.asarray(_normalize_index(index), dtype=np.int64).reshape(1, -1)
-    else:
-        key = _normalize_index(index)
-        if not isinstance(key, int):
-            raise ValueError("polynomial systems use integer degree indices")
-        idx = np.array([key])
-    A = basis_matrix(system, idx, point)
-    return complex(A.reshape(-1)[0])
+    return complex(basis_matrix(system, [system.key(index)], point).reshape(-1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from l1sample import (
     chebyshev_system,
     class_norm,
     default_system,
+    evaluate_basis,
     evaluate_function,
     fourier_system,
     index_weight,
@@ -105,10 +108,42 @@ def test_expansion_key_handling():
     assert f.get((2, -1)) == 2j
     assert f.get((5, 5)) == 0j
     assert f.max_order() == 2
-    with pytest.raises(ValueError):
-        CoefficientExpansion(fourier_system(2), {(0,): 1.0})
-    with pytest.raises(ValueError):
-        CoefficientExpansion(chebyshev_system(), {-1: 1.0})
+    # one key rule, System.key: an int, a 1-tuple, a numpy int and a row of
+    # an index set's indices() name the same index in d = 1 and for degrees
+    for system, J in ((fourier_system(1), make_index_set("box", 1, 3)),
+                      (chebyshev_system(), make_index_set("degrees", M=3))):
+        spellings = (3, (3,), np.int64(3), J.indices()[-1])
+        assert {system.key(k) for k in spellings} == {system.key(3)}
+        g = CoefficientExpansion(system, {3: 2.0})
+        for k in spellings:
+            assert g.get(k) == 2.0
+        for k in spellings[:3]:  # an array row is no dict key
+            assert CoefficientExpansion(system, {k: 2.0}) == g
+        assert g.vector(spellings).tolist() == [2.0] * 4
+        v = g.vector(J)
+        assert v[-1] == 2.0 and v.sum() == 2.0
+    # a wrong-dimension key and a negative degree raise everywhere a key is read
+    empty2 = CoefficientExpansion(fourier_system(2), {})
+    empty_poly = CoefficientExpansion(chebyshev_system(), {})
+    for f, klass, key, point in ((empty2, wiener_mixed(1.0, 2), (0,), (0.3, 0.4)),
+                                 (empty2, wiener_mixed(1.0, 2), (1, 2, 3), (0.3, 0.4)),
+                                 (empty_poly, poly_wiener(-0.5, 1.0, 1.0), -1, 0.0),
+                                 (empty_poly, poly_wiener(-0.5, 1.0, 1.0), (1, 2), 0.0)):
+        with pytest.raises(ValueError):
+            CoefficientExpansion(f.system, {key: 1.0})
+        with pytest.raises(ValueError):
+            f.get(key)
+        with pytest.raises(ValueError):
+            f.vector([key])
+        with pytest.raises(ValueError):
+            index_weight(klass, key)
+        with pytest.raises(ValueError):
+            evaluate_basis(f.system, key, point)
+    # a polynomial expansion's JSON keeps each degree as a one-entry list
+    g = CoefficientExpansion(chebyshev_system(), {0: 1.0, np.int64(4): 0.5 - 2j})
+    obj = json.loads(json.dumps(g.to_json()))
+    assert [idx for idx, _, _ in obj["entries"]] == [[0], [4]]
+    assert CoefficientExpansion.from_json(obj) == g
 
 
 def test_expansion_vector_alignment():

@@ -43,15 +43,6 @@ def test_system_validation():
     with pytest.raises(ValueError):
         System("chebyshev", 2)
     assert fourier_system(3).dim == 3
-    assert chebyshev_system().is_polynomial
-    assert not fourier_system().is_polynomial
-
-
-def test_measure_tags():
-    assert fourier_system(2).measure == "uniform-torus"
-    assert legendre_raw_system().measure == "uniform-interval"
-    assert chebyshev_system().measure == "arcsine"
-    assert legendre_preconditioned_system().measure == "arcsine"
 
 
 def test_system_json_round_trip():
