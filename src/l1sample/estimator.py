@@ -72,7 +72,8 @@ class FunctionRecovery:
     applies the class's cut-off rule to n.  A class is built only when one
     of the two is left out, and the config then checks it against the
     regime: its family and, on the torus, its dimension must be the
-    system's.
+    system's.  The sample budget is the caller's: ``fit`` solves with every
+    point it is given, under ``BpdnProblem``'s tolerances and iteration cap.
 
     After ``fit(X, y)`` the instance exposes ``expansion_`` (the recovered
     expansion), ``coefficients_`` (aligned to ``index_set_``), and
@@ -88,11 +89,8 @@ class FunctionRecovery:
     alpha: Optional[float] = None
     n: int = 4
     M: Optional[int] = None
-    c_sample: float = 1.0
     c_eta: float = 1.0
     eta: Optional[float] = None
-    obj_tol: float = 1e-7
-    max_iters: int = 50_000
     step_ratio: float = 1.0
 
     # -- parameter protocol -------------------------------------------------
@@ -139,11 +137,8 @@ class FunctionRecovery:
             n=int(self.n),
             M=int(M),
             klass=klass,
-            c_sample=float(self.c_sample),
             c_eta=float(self.c_eta),
             eta_override=None if self.eta is None else float(self.eta),
-            obj_tol=float(self.obj_tol),
-            max_iters=int(self.max_iters),
             step_ratio=float(self.step_ratio),
         )
 

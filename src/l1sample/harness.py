@@ -235,7 +235,6 @@ class ExperimentConfig:
     seed_base: int = 0
     sparsity: str = "n"
     feas_tol: Optional[float] = None
-    obj_tol: float = 1e-7
     max_iters: int = 50_000
     step_ratio: float = 1.0
 
@@ -301,7 +300,6 @@ def _recovery_config(config: ExperimentConfig, n: int, M: Optional[int] = None) 
         c_eta=config.c_eta,
         eta_override=config.eta_override,
         feas_tol=config.feas_tol,
-        obj_tol=config.obj_tol,
         max_iters=config.max_iters,
         step_ratio=config.step_ratio,
     )

@@ -45,7 +45,6 @@ from .systems import (
     SamplePlan,
     System,
     _legendre_weight,
-    _normalize_index,
     _point_array,
     basis_matrix,
     legendre_raw_system,
@@ -115,7 +114,6 @@ class RecoveryConfig:
     c_eta: float = 1.0
     eta_override: Optional[float] = None
     feas_tol: Optional[float] = None
-    obj_tol: float = 1e-7
     max_iters: int = 50_000
     step_ratio: float = 1.0
 
@@ -285,18 +283,16 @@ def recover(
     problem = BpdnProblem(
         A, y, eta,
         feas_tol=config.feas_tol,
-        obj_tol=config.obj_tol,
         max_iters=config.max_iters,
         step_ratio=config.step_ratio,
     )
     solution = solve_bpdn(problem)
 
     support = solution.z.nonzero()[0]
-    keys = columns.at(support)
-    expansion = CoefficientExpansion(out_system, {
-        _normalize_index(key): complex(value)
-        for key, value in zip(keys, solution.z[support])
-    })
+    keys = columns.at(support).tolist()
+    if config.system.kind == FOURIER:  # box rows as hashable tuples
+        keys = map(tuple, keys)
+    expansion = CoefficientExpansion(out_system, dict(zip(keys, solution.z[support])))
 
     err = None
     if f_true is not None:

@@ -190,12 +190,6 @@ class IndexSet:
             return positions
         return np.asarray(self.members)[positions]
 
-    def as_tuples(self) -> list:
-        arr = self.indices()
-        if arr.ndim == 1:
-            return [int(v) for v in arr]
-        return [tuple(int(v) for v in row) for row in arr]
-
 
 def make_index_set(kind: str, d: int = 1, M: int = 1) -> IndexSet:
     """Build one of the standard index families.

@@ -53,10 +53,10 @@ def test_check_sample_values():
 
 
 def test_get_params_round_trip():
-    est = FunctionRecovery(n=6, c_sample=2.0)
+    est = FunctionRecovery(n=6, c_eta=2.0)
     params = est.get_params()
     assert params["n"] == 6
-    assert params["c_sample"] == 2.0
+    assert params["c_eta"] == 2.0
     clone = FunctionRecovery(**params)
     assert clone.get_params() == params
 
@@ -66,8 +66,9 @@ def test_set_params_updates_and_rejects_unknown():
     out = est.set_params(n=9, eta=0.5)
     assert out is est
     assert est.n == 9 and est.eta == 0.5
-    with pytest.raises(ValueError):
-        est.set_params(sparsity=3)
+    for name in ("sparsity", "c_sample", "obj_tol", "max_iters"):
+        with pytest.raises(ValueError):
+            est.set_params(**{name: 3})
 
 
 def test_instances_compare_by_identity_stay_hashable_and_show_their_parameters():
@@ -117,7 +118,7 @@ def test_fitted_attributes_are_consistent(regime, system, pts):
     est = FunctionRecovery(system=regime, M=1 if regime == "fourier" else 4, eta=0.0).fit(pts, y)
     assert est.expansion_.system == system
     assert est.coefficients_.shape == (len(est.index_set_),)
-    keys = est.index_set_.as_tuples()
+    keys = [system.key(k) for k in est.index_set_.indices()]
     vec = {k: v for k, v in zip(keys, est.coefficients_) if v != 0}
     assert vec == est.expansion_.coefficients
     features = est.transform(pts)

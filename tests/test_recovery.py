@@ -1,6 +1,7 @@
 """Tests for the end-to-end sample-to-expansion recovery pipeline."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from l1sample.classes import (
     random_unit_function,
     wiener_mixed,
 )
+from l1sample.estimator import FunctionRecovery
+from l1sample.harness import ExperimentConfig, run_rate_experiment
 from l1sample.recovery import (
     CHEBYSHEV_REGIME,
     FOURIER3,
@@ -261,7 +264,7 @@ def test_exact_recovery_on_full_grid():
     assert result.certified
     assert result.samples_used == N
     assert result.l2_err <= 1e-8
-    keys = set(J.as_tuples())
+    keys = {cfg.system.key(k) for k in J.indices()}
     assert set(result.expansion.coefficients) <= keys
 
 
@@ -359,8 +362,8 @@ def test_fourier_recovery_builds_no_m_by_n_matrix(monkeypatch, d, theorem):
     assert all(shape[1] < N for shape in shapes)
     A = build_matrix(cfg, pts)
     assert shapes[-1] == (m, N)  # the recording sees the dense reference
-    dense = solve_bpdn(BpdnProblem(A, y, result.eta, obj_tol=cfg.obj_tol,
-                                   max_iters=cfg.max_iters, step_ratio=cfg.step_ratio))
+    dense = solve_bpdn(BpdnProblem(A, y, result.eta, max_iters=cfg.max_iters,
+                                   step_ratio=cfg.step_ratio))
     assert result.solution.iterations == dense.iterations
     assert np.abs(result.solution.z - dense.z).max() <= 1e-9
 
@@ -386,10 +389,36 @@ def test_recover_names_the_keys_from_the_support_alone(monkeypatch, system, theo
     result = recover(y, cfg, pts)
     monkeypatch.undo()
     # the keys the whole index array names, in d = 1 and 2 and for degrees
-    z, every_key = result.solution.z, search_set(cfg).as_tuples()
+    z = result.solution.z
+    every_key = [system.key(k) for k in search_set(cfg).indices()]
     support = z.nonzero()[0]
     assert support.size >= len(keys)
     assert result.expansion.coefficients == {every_key[i]: complex(z[i]) for i in support}
+
+
+def test_front_end_settings_reach_the_solver(monkeypatch):
+    problems = []
+    original = recovery.solve_bpdn
+
+    def recording(problem):
+        problems.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(recovery, "solve_bpdn", recording)
+    defaults = {f.name: f.default for f in fields(BpdnProblem)}
+    run_rate_experiment(ExperimentConfig(
+        wiener_mixed(1.0, 1), (2, 4), trials_per_n=2, c_sample=0.5, c_eta=0.1,
+        feas_tol=1e-5, max_iters=300, step_ratio=0.125))
+    assert len(problems) == 4
+    assert all((p.feas_tol, p.max_iters, p.step_ratio, p.obj_tol)
+               == (1e-5, 300, 0.125, defaults["obj_tol"]) for p in problems)
+    problems.clear()
+    f_true = CoefficientExpansion(fourier_system(1), {(1,): 1.0, (-2,): 0.5j})
+    pts = full_lattice(7)
+    FunctionRecovery(M=1, eta=0.0, step_ratio=0.5).fit(pts, evaluate_function(f_true, pts))
+    [p] = problems
+    assert (p.feas_tol, p.max_iters, p.step_ratio, p.obj_tol) == (
+        defaults["feas_tol"], defaults["max_iters"], 0.5, defaults["obj_tol"])
 
 
 def test_legendre_path_returns_raw_expansion():
