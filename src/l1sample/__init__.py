@@ -72,7 +72,6 @@ from .recovery import (
 )
 from .systems import (
     IndexSet,
-    ResolutionError,
     SamplePlan,
     System,
     UnboundedSystemError,

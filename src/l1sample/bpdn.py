@@ -468,9 +468,11 @@ def _compact(keep: np.ndarray, arrays) -> list:
 # ---------------------------------------------------------------------------
 # closed form for orthonormal-column matrices
 
+_GRAM_TOL = 1e-10  # entrywise bound on |A^H A - c I| / max(1, c)
 
-def bpdn_orthonormal_oracle(problem: BpdnProblem, gram_tol: float = 1e-10) -> BpdnSolution:
-    """Exact solution when A^H A = c I for some scalar c > 0.
+
+def bpdn_orthonormal_oracle(problem: BpdnProblem) -> BpdnSolution:
+    """Exact solution when A^H A = c I for some scalar c > 0 (to ``_GRAM_TOL``).
 
     In that case the constraint becomes a ball around the rescaled
     least-squares point u = A^H y / c and the minimizer is a soft threshold
@@ -483,7 +485,7 @@ def bpdn_orthonormal_oracle(problem: BpdnProblem, gram_tol: float = 1e-10) -> Bp
     c = float(np.real(np.trace(G))) / N
     if c <= 0:
         raise ValueError("A has numerically zero columns")
-    if np.abs(G - c * np.eye(N)).max() > gram_tol * max(1.0, c):
+    if np.abs(G - c * np.eye(N)).max() > _GRAM_TOL * max(1.0, c):
         raise ValueError("columns are not orthogonal with a common scale")
 
     y_norm2 = float(np.real(np.vdot(y, y)))

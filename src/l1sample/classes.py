@@ -152,8 +152,8 @@ class CoefficientExpansion:
     def support(self) -> list:
         return sorted(self.coefficients.keys())
 
-    def get(self, index, default=0j) -> complex:
-        return self.coefficients.get(self.system.key(index), default)
+    def get(self, index) -> complex:
+        return self.coefficients.get(self.system.key(index), 0j)
 
     def support_array(self) -> np.ndarray:
         keys = self.support()
@@ -383,26 +383,28 @@ def analytic_tail_bound(klass: FunctionClass, M: int) -> float:
 # quadrature norms (cross-checks for Parseval identities)
 
 
-def quadrature_l2_norm(f: CoefficientExpansion, num_nodes: Optional[int] = None) -> float:
+def quadrature_l2_norm(f: CoefficientExpansion) -> float:
     """L2 norm of the expansion in the system's orthogonality measure,
-    computed by quadrature rather than through Parseval."""
+    computed by quadrature rather than through Parseval: for order n, 2n + 1
+    nodes per torus axis, 2n + 8 Gauss nodes for ``legendre_raw`` and 4n + 64
+    for the arcsine-measure systems."""
     kind = f.system.kind
     order = f.max_order()
     if kind == FOURIER:
-        nodes = num_nodes if num_nodes is not None else 2 * order + 1
+        nodes = 2 * order + 1
         axes = [np.arange(nodes) / nodes] * f.system.dim
         grid = np.meshgrid(*axes, indexing="ij")
         pts = np.stack(grid, axis=-1).reshape(-1, f.system.dim)
         vals = evaluate_function(f, pts)
         return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
     if kind == LEGENDRE_RAW:
-        nodes = num_nodes if num_nodes is not None else 2 * order + 8
+        nodes = 2 * order + 8
         x, w = leggauss(nodes)
         vals = evaluate_function(f, x)
         return float(np.sqrt(np.sum(w * np.abs(vals) ** 2)))
     # arcsine-measure systems: substitute x = cos(pi*theta); the pushforward
     # of the uniform theta-measure is exactly the arcsine measure
-    nodes = num_nodes if num_nodes is not None else 4 * order + 64
+    nodes = 4 * order + 64
     t, w = leggauss(nodes)
     theta = 0.5 * (t + 1.0)
     x = np.cos(np.pi * theta)

@@ -9,7 +9,7 @@ a dependency on any particular ML framework.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -65,22 +65,24 @@ def check_sample_values(y, n_points: int) -> np.ndarray:
 class FunctionRecovery:
     """Recover a sparse coefficient expansion from point samples.
 
-    Parameters mirror the recovery config: the measurement system (a kind
-    string or a ``System``), the sampling regime, the function-class
-    parameters driving the automatic noise level, the target sparsity n and
-    cut-off M.  ``eta`` overrides the automatic noise level; ``M=None``
-    applies the class's cut-off rule to n.  A class is built only when one
-    of the two is left out, and the config then checks it against the
-    regime: its family and, on the torus, its dimension must be the
-    system's.  The sample budget is the caller's: ``fit`` solves with every
-    point it is given, under ``BpdnProblem``'s tolerances and iteration cap.
+    Parameters mirror the recovery config: the measurement system's kind
+    string and ``dim``, the torus dimension (also the class's), the sampling
+    regime, the function-class parameters driving the automatic noise
+    level, the target sparsity n and cut-off M.  ``eta`` overrides the
+    automatic noise level; ``M=None`` applies the class's cut-off rule to n.
+    A class is built only when one of the two is left out, and the config
+    then checks it against the regime: its family and, on the torus, its
+    dimension must be the system's.  The sample budget is the caller's:
+    ``fit`` solves with every point it is given, under ``BpdnProblem``'s
+    tolerances and iteration cap.
 
     After ``fit(X, y)`` the instance exposes ``expansion_`` (the recovered
-    expansion), ``coefficients_`` (aligned to ``index_set_``), and
-    ``result_`` (the full recovery record).  Instances compare by identity.
+    expansion), ``coefficients_`` (aligned to ``index_set_``, the search
+    set: on the torus the box of radius (2d+1)M), and ``result_`` (the full
+    recovery record).  Instances compare by identity.
     """
 
-    system: Union[str, System] = FOURIER
+    system: str = FOURIER
     dim: int = 1
     theorem: Optional[str] = None
     class_kind: str = "wiener_mixed"
@@ -110,11 +112,6 @@ class FunctionRecovery:
 
     # -- fitting ------------------------------------------------------------
 
-    def _resolved_system(self) -> System:
-        if isinstance(self.system, System):
-            return self.system
-        return System(str(self.system), int(self.dim) if self.system == FOURIER else 1)
-
     def _resolved_class(self) -> FunctionClass:
         return FunctionClass(
             self.class_kind,
@@ -125,7 +122,7 @@ class FunctionRecovery:
         )
 
     def _build_config(self) -> RecoveryConfig:
-        system = self._resolved_system()
+        system = System(str(self.system), int(self.dim) if self.system == FOURIER else 1)
         theorem = self.theorem if self.theorem is not None else default_regime(system)
         klass = None
         if self.eta is None or self.M is None:

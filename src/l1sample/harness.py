@@ -117,26 +117,19 @@ def rate_transfer(c1: float, alpha: float, r: float, beta: float) -> RateTransfe
     return RateTransferResult(-r, beta + alpha * r, constant)
 
 
-def fit_slope(
-    n_values: Sequence[float],
-    errors: Sequence[float],
-    drop_first: Optional[bool] = None,
-) -> Optional[float]:
+def fit_slope(n_values: Sequence[float], errors: Sequence[float]) -> Optional[float]:
     """Least-squares slope of log(error) against log(n).
 
     Non-finite and non-positive errors are skipped.  With four or more
-    usable points the smallest n is dropped by default (it sits deepest in
-    the preasymptotic range).  Returns None when fewer than two points
-    remain.
+    usable points the smallest n is dropped (it sits deepest in the
+    preasymptotic range).  Returns None when fewer than two points remain.
     """
     ns, es = [], []
     for n, e in zip(n_values, errors):
         if np.isfinite(e) and e > 0:
             ns.append(float(n))
             es.append(float(e))
-    if drop_first is None:
-        drop_first = len(ns) >= 4
-    if drop_first and len(ns) > 1:
+    if len(ns) >= 4:
         ns, es = ns[1:], es[1:]
     if len(ns) < 2:
         return None

@@ -176,6 +176,8 @@ def pietsch_diag_an(
 # ---------------------------------------------------------------------------
 # two-step best-term bound
 
+_RTOL = 1e-12  # relative rounding slack of the product bound
+
 
 @dataclass(frozen=True)
 class ProductBoundResult:
@@ -195,7 +197,6 @@ def product_bound_check(
     n2: int,
     intermediate_class: FunctionClass,
     target_class: Optional[FunctionClass] = None,
-    rtol: float = 1e-12,
 ) -> ProductBoundResult:
     """Check the two-step best-term inequality on a concrete function:
 
@@ -219,9 +220,9 @@ def product_bound_check(
     factor1 = _sequence_norm(intermediate_class, a[dropped])
     lhs = target_error(f, n1 + n2)
     if factor1 == 0.0:
-        return ProductBoundResult(lhs, 0.0, 0.0, holds=lhs <= rtol)
+        return ProductBoundResult(lhs, 0.0, 0.0, holds=lhs <= _RTOL)
     items = f.items()
     residual = {items[i][0]: (1.0 / factor1) * items[i][1] for i in dropped}
     factor2 = target_error(CoefficientExpansion(f.system, residual), n2)
     bound = factor1 * factor2
-    return ProductBoundResult(lhs, factor1, factor2, holds=lhs <= bound * (1 + rtol))
+    return ProductBoundResult(lhs, factor1, factor2, holds=lhs <= bound * (1 + _RTOL))

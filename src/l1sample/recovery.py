@@ -34,12 +34,12 @@ from .classes import (
     default_system,
 )
 from .systems import (
+    BOX,
     CHEBYSHEV,
     DEGREES,
     FOURIER,
     LEGENDRE_PRECONDITIONED,
     LEGENDRE_RAW,
-    SEARCH_BOX,
     FourierTables,
     IndexSet,
     SamplePlan,
@@ -49,9 +49,8 @@ from .systems import (
     basis_matrix,
     legendre_raw_system,
     make_index_set,
-    uniform_bound,
 )
-from .vallee_poussin import chebyshev_lift
+from .vallee_poussin import DlvpSpec, chebyshev_lift
 
 FOURIER3 = "fourier3"
 FOURIER_GRID = "fourier_grid"
@@ -144,9 +143,11 @@ class RecoveryConfig:
 
 
 def search_set(config: RecoveryConfig) -> IndexSet:
-    """The candidate index set the l1 program optimizes over."""
+    """The candidate index set the l1 program optimizes over: on the torus
+    the box of radius (2d+1)M that the tensor quasi-projection maps into."""
     if config.theorem in (FOURIER3, FOURIER_GRID):
-        return make_index_set(SEARCH_BOX, d=config.system.dim, M=config.M)
+        d = config.system.dim
+        return make_index_set(BOX, d=d, M=DlvpSpec.tensor(d, config.M).support_radius)
     if config.theorem == CHEBYSHEV_REGIME:
         return make_index_set(DEGREES, M=3 * config.M)
     return make_index_set(DEGREES, M=config.M)
@@ -195,7 +196,6 @@ def build_matrix(config: RecoveryConfig, points) -> np.ndarray:
     for the Legendre regime, and solves the others on ``FourierTables``, in
     its complex form on the torus and its real form for Chebyshev.
     """
-    uniform_bound(config.system)  # raises for unbounded families
     pts = np.asarray(points)
     if pts.size == 0:
         raise ValueError("need at least one sample point")

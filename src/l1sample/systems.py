@@ -34,17 +34,12 @@ LEGENDRE_RAW = "legendre_raw"
 _ALL_KINDS = (FOURIER, CHEBYSHEV, LEGENDRE_PRECONDITIONED, LEGENDRE_RAW)
 
 BOX = "box"
-SEARCH_BOX = "search_box"
 DEGREES = "degrees"
 EXPLICIT = "explicit"
 
 
 class UnboundedSystemError(ValueError):
     """An operation required a finite uniform bound and the system has none."""
-
-
-class ResolutionError(ValueError):
-    """A quadrature rule cannot resolve the requested index range."""
 
 
 @dataclass(frozen=True)
@@ -134,9 +129,8 @@ def _normalize_index(index) -> Union[int, tuple]:
 class IndexSet:
     """A finite family of frequency vectors or polynomial degrees.
 
-    Kinds: ``box`` (max-norm ball of radius M in Z^d), ``search_box``
-    (radius (2d+1)*M, the enlarged box quasi-projections map into),
-    ``degrees`` (0..M), and ``explicit`` (a fixed list).
+    Kinds: ``box`` (max-norm ball of radius M in Z^d), ``degrees`` (0..M),
+    and ``explicit`` (a fixed list).
     """
 
     kind: str
@@ -151,15 +145,13 @@ class IndexSet:
 
     @property
     def half_width(self) -> int:
-        """Max-norm radius of the box kinds."""
+        """Max-norm radius of a box."""
         if self.kind == BOX:
             return self.M
-        if self.kind == SEARCH_BOX:
-            return (2 * self.d + 1) * self.M
         raise ValueError(f"half_width is undefined for kind {self.kind!r}")
 
     def __len__(self) -> int:
-        if self.kind in (BOX, SEARCH_BOX):
+        if self.kind == BOX:
             return (2 * self.half_width + 1) ** self.d
         if self.kind == DEGREES:
             return self.M + 1
@@ -167,7 +159,7 @@ class IndexSet:
 
     def __contains__(self, index) -> bool:
         key = _normalize_index(index)
-        if self.kind in (BOX, SEARCH_BOX):
+        if self.kind == BOX:
             if not isinstance(key, tuple) or len(key) != self.d:
                 return False
             return max(abs(k) for k in key) <= self.half_width
@@ -183,7 +175,7 @@ class IndexSet:
         """The indices at ``positions`` of ``indices()``, without building
         the others: a box's flat positions unravelled in row-major order."""
         positions = np.asarray(positions, dtype=np.int64)
-        if self.kind in (BOX, SEARCH_BOX):
+        if self.kind == BOX:
             R = self.half_width
             return np.stack(np.unravel_index(positions, (2 * R + 1,) * self.d), axis=-1) - R
         if self.kind == DEGREES:
@@ -195,11 +187,9 @@ def make_index_set(kind: str, d: int = 1, M: int = 1) -> IndexSet:
     """Build one of the standard index families.
 
     ``box``: {k in Z^d : |k|_inf <= M}, cardinality (2M+1)^d.
-    ``search_box``: {k in Z^d : |k|_inf <= (2d+1)M}, cardinality
-    (2(2d+1)M+1)^d.
     ``degrees``: {0, ..., M}.
     """
-    if kind not in (BOX, SEARCH_BOX, DEGREES):
+    if kind not in (BOX, DEGREES):
         raise ValueError(f"unknown index-set kind: {kind!r}")
     if d < 1 or M < 1:
         raise ValueError("index sets need d >= 1 and M >= 1")
@@ -874,13 +864,9 @@ def draw_points(system: System, m: int, plan: SamplePlan) -> np.ndarray:
 # quadrature
 
 
-def _fourier_gram(dim: int, idx: np.ndarray, num_nodes: Optional[int]) -> np.ndarray:
+def _fourier_gram(dim: int, idx: np.ndarray) -> np.ndarray:
     max_freq = int(np.abs(idx).max()) if idx.size else 0
-    nodes = num_nodes if num_nodes is not None else 4 * max_freq + 1
-    if nodes <= 2 * max_freq:
-        raise ResolutionError(
-            f"{nodes} nodes per axis cannot resolve frequencies up to {max_freq}"
-        )
+    nodes = 4 * max_freq + 1
     t = np.arange(nodes) / nodes
     G = None
     for ax in range(dim):
@@ -898,13 +884,9 @@ def _fourier_gram(dim: int, idx: np.ndarray, num_nodes: Optional[int]) -> np.nda
     return G.astype(np.complex128)
 
 
-def _poly_gram(system: System, idx: np.ndarray, num_nodes: Optional[int]) -> np.ndarray:
+def _poly_gram(system: System, idx: np.ndarray) -> np.ndarray:
     max_degree = int(idx.max()) if idx.size else 0
-    nodes = num_nodes if num_nodes is not None else 2 * max_degree + 8
-    if nodes < max_degree + 1:
-        raise ResolutionError(
-            f"{nodes} nodes cannot resolve polynomial degree {max_degree}"
-        )
+    nodes = 2 * max_degree + 8
     if system.kind == CHEBYSHEV:
         x, w = chebgauss(nodes)
         B = basis_matrix(system, idx, x)
@@ -919,11 +901,12 @@ def _poly_gram(system: System, idx: np.ndarray, num_nodes: Optional[int]) -> np.
     return G.astype(np.complex128)
 
 
-def gram_matrix(system: System, indices, num_nodes: Optional[int] = None) -> np.ndarray:
+def gram_matrix(system: System, indices) -> np.ndarray:
     """Gram matrix <b_i, b_j> in L2 of the system's orthogonality measure,
-    computed by quadrature.  ``num_nodes`` is per axis for Fourier systems;
-    defaults resolve the index set exactly."""
+    computed by quadrature exact on the index set: 4K + 1 equispaced nodes
+    per axis for Fourier frequencies up to K in max-norm, 2n + 8 Gauss
+    nodes for polynomial degrees up to n."""
     idx = _index_array(system, indices)
     if system.kind == FOURIER:
-        return _fourier_gram(system.dim, idx, num_nodes)
-    return _poly_gram(system, idx, num_nodes)
+        return _fourier_gram(system.dim, idx)
+    return _poly_gram(system, idx)

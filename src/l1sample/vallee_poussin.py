@@ -18,7 +18,6 @@ and M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .classes import CoefficientExpansion
 from .systems import (
     CHEBYSHEV,
     FOURIER,
-    ResolutionError,
     chebyshev_system,
     fourier_system,
 )
@@ -129,20 +127,14 @@ def kernel_values(spec: DlvpSpec, x) -> np.ndarray:
     return 1.0 + 2.0 * np.cos(2.0 * np.pi * np.outer(xs, freqs)) @ a
 
 
-def kernel_l1_norm(spec: DlvpSpec, num_nodes: Optional[int] = None) -> float:
+def kernel_l1_norm(spec: DlvpSpec) -> float:
     """L1([0,1)^d) norm of the convolution kernel.
 
     Computed as the d-th power of the univariate norm; the univariate
-    integral of |K| uses the periodic trapezoid rule.  The node count must
-    resolve the kernel's top frequency with margin.
+    integral of |K| uses the periodic trapezoid rule on 32 nodes per kernel
+    degree, plus one.
     """
-    deg = spec.support_radius
-    floor = 8 * deg + 1
-    nodes = num_nodes if num_nodes is not None else 32 * deg + 1
-    if nodes < floor:
-        raise ResolutionError(
-            f"{nodes} nodes cannot resolve the kernel of degree {deg}; need >= {floor}"
-        )
+    nodes = 32 * spec.support_radius + 1
     t = np.arange(nodes) / nodes
     univariate = float(np.mean(np.abs(kernel_values(spec, t))))
     return univariate**spec.d
@@ -150,6 +142,8 @@ def kernel_l1_norm(spec: DlvpSpec, num_nodes: Optional[int] = None) -> float:
 
 # ---------------------------------------------------------------------------
 # cosine <-> exponential coefficient maps
+
+_EVEN_TOL = 1e-12  # relative mismatch of f(-n) and f(n) that unlift accepts
 
 
 def chebyshev_lift(f: CoefficientExpansion) -> CoefficientExpansion:
@@ -173,8 +167,9 @@ def chebyshev_lift(f: CoefficientExpansion) -> CoefficientExpansion:
     return CoefficientExpansion(fourier_system(1), out)
 
 
-def chebyshev_unlift(g: CoefficientExpansion, tol: float = 1e-12) -> CoefficientExpansion:
-    """Inverse of the lift; requires an even spectrum f(-n) == f(n)."""
+def chebyshev_unlift(g: CoefficientExpansion) -> CoefficientExpansion:
+    """Inverse of the lift; requires an even spectrum f(-n) == f(n), up to
+    a relative 1e-12 of the largest coefficient."""
     if g.system.kind != FOURIER or g.system.dim != 1:
         raise ValueError("unlift takes univariate Fourier expansions")
     scale = max(1.0, max((abs(v) for v in g.coefficients.values()), default=0.0))
@@ -187,7 +182,7 @@ def chebyshev_unlift(g: CoefficientExpansion, tol: float = 1e-12) -> Coefficient
             out[0] = value
             continue
         mirror = g.coefficients.get((-k,), 0j)
-        if abs(mirror - value) > tol * scale:
+        if abs(mirror - value) > _EVEN_TOL * scale:
             raise ValueError("spectrum is not even; no Chebyshev preimage")
         out[k] = value * np.sqrt(2.0)
     for key in g.coefficients:

@@ -226,6 +226,12 @@ def test_oracle_rejects_non_orthogonal_columns():
         bpdn_orthonormal_oracle(BpdnProblem(A, np.ones(2), 0.1))
     with pytest.raises(ValueError):
         bpdn_orthonormal_oracle(BpdnProblem(np.zeros((2, 2)), np.ones(2), 0.1))
+    # the Gram matrix may differ from c I by 1e-10 relative to max(1, c)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        bpdn_orthonormal_oracle(BpdnProblem(np.array([[1.0, 1e-8], [0.0, 1.0]]), np.ones(2), 0.1))
+    problem = BpdnProblem(np.array([[1.0, 1e-12], [0.0, 1.0]]), np.ones(2), 0.1)
+    sol = bpdn_orthonormal_oracle(problem)
+    assert sol.certified and sol.residual_norm <= problem.radius + 1e-12
 
 
 def test_oracle_rejects_infeasible_radius():

@@ -44,6 +44,7 @@ from l1sample.systems import (
     legendre_raw_system,
     make_index_set,
 )
+from l1sample.vallee_poussin import DlvpSpec
 
 
 def grid_config(M=1, n=2, **kw):
@@ -119,8 +120,14 @@ def test_default_regime_counts_the_legendre_kinds_as_one_family():
 
 def test_search_sets_by_regime():
     four = search_set(RecoveryConfig(fourier_system(2), FOURIER3, n=2, M=3))
-    assert four.kind == "search_box"
+    assert four.kind == "box"
     assert len(four) == (2 * 5 * 3 + 1) ** 2
+    # on the torus, the box the tensor quasi-projection maps into
+    for d in (1, 2, 3):
+        for theorem in (FOURIER3, FOURIER_GRID):
+            J = search_set(RecoveryConfig(fourier_system(d), theorem, n=2, M=2))
+            assert J == make_index_set("box", d, DlvpSpec.tensor(d, 2).support_radius)
+            assert J.half_width == (2 * d + 1) * 2
     cheb = search_set(RecoveryConfig(chebyshev_system(), CHEBYSHEV_REGIME, n=2, M=4))
     assert cheb.kind == "degrees"
     assert len(cheb) == 3 * 4 + 1

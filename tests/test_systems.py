@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l1sample import (
-    ResolutionError,
     SamplePlan,
     System,
     UnboundedSystemError,
@@ -65,13 +64,6 @@ def test_uniform_bounds():
 def test_box_cardinalities():
     assert len(make_index_set("box", d=2, M=3)) == 7**2
     assert len(make_index_set("box", d=3, M=1)) == 27
-    # enlarged search box: radius (2d+1)M
-    J = make_index_set("search_box", d=1, M=3)
-    assert J.half_width == 9
-    assert len(J) == 19
-    J2 = make_index_set("search_box", d=2, M=2)
-    assert J2.half_width == 10
-    assert len(J2) == 21**2
 
 
 def test_degrees_and_membership():
@@ -95,7 +87,7 @@ def test_indices_shapes_and_tuples():
 
 @pytest.mark.parametrize("index_set", [
     make_index_set("box", d=1, M=3), make_index_set("box", d=2, M=2),
-    make_index_set("search_box", d=3, M=1), make_index_set("degrees", M=6),
+    make_index_set("box", d=3, M=3), make_index_set("degrees", M=6),
     explicit_index_set([(0, 1), (2, -3), (-1, 0)]),
 ])
 def test_index_set_at_names_positions_in_row_major_order(index_set):
@@ -140,6 +132,8 @@ def test_explicit_index_set_builds_its_member_set_once(monkeypatch):
 def test_make_index_set_validation():
     with pytest.raises(ValueError):
         make_index_set("diamond", d=1, M=1)
+    with pytest.raises(ValueError, match="unknown index-set kind"):
+        make_index_set("search_box", d=1, M=1)
     with pytest.raises(ValueError):
         make_index_set("box", d=0, M=1)
     with pytest.raises(ValueError):
@@ -301,11 +295,6 @@ def test_grid_plan_needs_size():
 def test_gram_identity(system, indices):
     G = gram_matrix(system, indices)
     assert np.abs(G - np.eye(len(indices))).max() < 1e-10
-
-
-def test_gram_resolution_guard():
-    with pytest.raises(ResolutionError):
-        gram_matrix(chebyshev_system(), make_index_set("degrees", M=8), num_nodes=3)
 
 
 # ---------------------------------------------------------------------------

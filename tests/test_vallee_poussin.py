@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1sample.classes import CoefficientExpansion, evaluate_function
-from l1sample.systems import ResolutionError, chebyshev_system, fourier_system
+from l1sample.systems import chebyshev_system, fourier_system
 from l1sample.vallee_poussin import (
     DlvpSpec,
     apply_quasi_projection,
@@ -199,14 +199,6 @@ def test_tensor_kernel_mass_below_e():
     # tensor norm is the d-th power of the univariate norm
     uni = kernel_l1_norm(DlvpSpec(spec.n, spec.m, 1))
     assert abs(norm - uni**2) < 1e-12
-
-
-def test_kernel_resolution_guard():
-    spec = DlvpSpec.univariate(4, 2)
-    with pytest.raises(ResolutionError):
-        kernel_l1_norm(spec, num_nodes=8 * spec.support_radius)
-    # exactly the floor is accepted
-    kernel_l1_norm(spec, num_nodes=8 * spec.support_radius + 1)
 
 
 # ---------------------------------------------------------------------------
