@@ -79,7 +79,6 @@ from .systems import (
     chebyshev_system,
     draw_points,
     evaluate_basis,
-    explicit_index_set,
     fourier_system,
     gram_matrix,
     legendre_preconditioned_system,
@@ -94,7 +93,6 @@ from .vallee_poussin import (
     chebyshev_unlift,
     dlvp_coeff,
     kernel_l1_norm,
-    tensor_dlvp_coeff,
 )
 
 __version__ = "0.1.0"

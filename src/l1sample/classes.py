@@ -304,9 +304,12 @@ def evaluate_function(f: CoefficientExpansion, points):
     return complex(vals[0]) if scalar else vals
 
 
-def truncation_error_bound(klass: FunctionClass, f: CoefficientExpansion, J) -> float:
+def truncation_error_bound(f: CoefficientExpansion, J) -> float:
     """The l1 coefficient tail outside J, an upper bound for the uniform-norm
-    truncation error of the partial sum over J."""
+    truncation error of the partial sum over J.  J is an ``IndexSet`` or a
+    sequence of indices, each read by ``f.system.key``."""
+    if not isinstance(J, IndexSet):
+        J = {f.system.key(k) for k in J}
     tail = 0.0
     for key, value in f.coefficients.items():
         if key not in J:

@@ -19,8 +19,8 @@ Four families are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebgauss
@@ -35,7 +35,6 @@ _ALL_KINDS = (FOURIER, CHEBYSHEV, LEGENDRE_PRECONDITIONED, LEGENDRE_RAW)
 
 BOX = "box"
 DEGREES = "degrees"
-EXPLICIT = "explicit"
 
 
 class UnboundedSystemError(ValueError):
@@ -64,17 +63,22 @@ class System:
     def key(self, index) -> Union[int, tuple]:
         """The canonical key of one index: a ``dim``-tuple of ints on the
         torus, a nonnegative int degree otherwise.  A d = 1 Fourier key may
-        be given as an int, a degree as a 1-tuple; anything else raises."""
-        key = _normalize_index(index)
+        be given as an int, a degree as a 1-tuple, and a component as any
+        integral number (2.0 reads as 2); anything else raises, naming the
+        index."""
+        arr = np.asarray(index)
+        if arr.ndim > 1 or not _integral(arr):
+            raise ValueError(f"index {index!r} is not an integer or a vector of integers")
+        key = tuple(arr.astype(np.int64).tolist()) if arr.ndim else int(arr)
         if self.kind == FOURIER:
             key = (key,) if isinstance(key, int) else key
             if len(key) != self.dim:
-                raise ValueError("index dimension does not match the system")
+                raise ValueError(f"index {index!r} does not have the system's dimension {self.dim}")
             return key
         if isinstance(key, tuple) and len(key) == 1:
             key = key[0]
         if not isinstance(key, int) or key < 0:
-            raise ValueError("polynomial degrees must be nonnegative ints")
+            raise ValueError(f"index {index!r} is not a nonnegative polynomial degree")
         return key
 
     def to_json(self) -> dict:
@@ -116,32 +120,22 @@ def uniform_bound(system: System) -> float:
 # index sets
 
 
-def _normalize_index(index) -> Union[int, tuple]:
-    if isinstance(index, (int, np.integer)):
-        return int(index)
-    arr = np.asarray(index)
-    if arr.ndim == 0:
-        return int(arr)
-    return tuple(int(v) for v in arr)
+def _integral(arr: np.ndarray) -> bool:
+    """Whether every entry is an integer int64 holds: 2.0 is, 2.5, inf and nan are not."""
+    return arr.dtype.kind in "iu" or arr.dtype.kind == "f" and bool(
+        np.all((np.abs(arr) < 2.0**63) & (np.trunc(arr) == arr)))
 
 
 @dataclass(frozen=True)
 class IndexSet:
-    """A finite family of frequency vectors or polynomial degrees.
-
-    Kinds: ``box`` (max-norm ball of radius M in Z^d), ``degrees`` (0..M),
-    and ``explicit`` (a fixed list).
-    """
+    """One of the two search sets: a ``box`` (the max-norm ball of radius M
+    in Z^d) or the ``degrees`` 0..M.  Membership reads an index as
+    ``System.key`` of the d-torus or of a polynomial system does; an index
+    it rejects is not a member.  Other index lists are plain sequences."""
 
     kind: str
     d: int = 1
     M: int = 0
-    members: Optional[tuple] = None
-    # the explicit members as a set, built once for membership tests
-    _member_set: frozenset = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_member_set", frozenset(self.members or ()))
 
     @property
     def half_width(self) -> int:
@@ -153,19 +147,17 @@ class IndexSet:
     def __len__(self) -> int:
         if self.kind == BOX:
             return (2 * self.half_width + 1) ** self.d
-        if self.kind == DEGREES:
-            return self.M + 1
-        return len(self.members)
+        return self.M + 1
 
     def __contains__(self, index) -> bool:
-        key = _normalize_index(index)
+        system = fourier_system(self.d) if self.kind == BOX else chebyshev_system()
+        try:
+            key = system.key(index)
+        except ValueError:
+            return False
         if self.kind == BOX:
-            if not isinstance(key, tuple) or len(key) != self.d:
-                return False
             return max(abs(k) for k in key) <= self.half_width
-        if self.kind == DEGREES:
-            return isinstance(key, int) and 0 <= key <= self.M
-        return key in self._member_set
+        return key <= self.M
 
     def indices(self) -> np.ndarray:
         """All indices as an array: shape (N, d) for boxes, (N,) for degrees."""
@@ -178,9 +170,7 @@ class IndexSet:
         if self.kind == BOX:
             R = self.half_width
             return np.stack(np.unravel_index(positions, (2 * R + 1,) * self.d), axis=-1) - R
-        if self.kind == DEGREES:
-            return positions
-        return np.asarray(self.members)[positions]
+        return positions
 
 
 def make_index_set(kind: str, d: int = 1, M: int = 1) -> IndexSet:
@@ -196,13 +186,6 @@ def make_index_set(kind: str, d: int = 1, M: int = 1) -> IndexSet:
     if kind == DEGREES:
         return IndexSet(DEGREES, 1, M)
     return IndexSet(kind, d, M)
-
-
-def explicit_index_set(members: Iterable) -> IndexSet:
-    keys = [_normalize_index(m) for m in members]
-    if len(set(keys)) != len(keys):
-        raise ValueError("explicit index set contains duplicates")
-    return IndexSet(EXPLICIT, members=tuple(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +222,20 @@ def _point_array(system: System, points) -> np.ndarray:
 
 
 def _index_array(system: System, indices) -> np.ndarray:
+    """Indices as int64, read by ``System.key``'s rule: (n, d) frequency
+    vectors on the torus, (n,) degrees otherwise, which may also come as an
+    (n, 1) array of 1-tuples.  A non-integral entry raises."""
     arr = indices.indices() if isinstance(indices, IndexSet) else np.asarray(indices)
+    if not _integral(arr):
+        raise ValueError("indices must be integers")
+    arr = arr.astype(np.int64)
     if system.kind == FOURIER:
-        return _torus_rows(arr, system.dim, "index").astype(np.int64)
+        return _torus_rows(arr, system.dim, "index")
+    if arr.ndim == 2 and arr.shape[1] == 1:
+        arr = arr[:, 0]
     arr = np.atleast_1d(arr)
     if arr.ndim != 1:
         raise ValueError("polynomial systems use scalar degree indices")
-    arr = arr.astype(np.int64)
     if np.any(arr < 0):
         raise ValueError("polynomial degrees must be nonnegative")
     return arr

@@ -31,20 +31,15 @@ from .systems import (
 
 
 def dlvp_coeff(n: int, m: int, k: int) -> float:
-    """Univariate filter coefficient a_k for parameters (n, m)."""
+    """Univariate filter coefficient a_k for parameters (n, m), k an integer."""
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    a = abs(int(k))
+    a = abs(fourier_system(1).key(k)[0])
     if a <= n - m:
         return 1.0
     if a <= n + m:
         return (n + m + 1 - a) / (2 * m + 1)
     return 0.0
-
-
-def tensor_dlvp_coeff(d: int, M: int, k) -> float:
-    """Tensor filter coefficient for the pair ((d+1)M, dM) at k in Z^d."""
-    return DlvpSpec.tensor(d, M).coeff(k)
 
 
 @dataclass(frozen=True)
@@ -83,12 +78,10 @@ class DlvpSpec:
         return self.n - self.m
 
     def coeff(self, k) -> float:
-        ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
-        if ks.shape != (self.d,):
-            raise ValueError("index dimension does not match the filter")
+        """The product of the per-axis coefficients at k, a key of the d-torus."""
         out = 1.0
-        for comp in ks:
-            out *= dlvp_coeff(self.n, self.m, int(comp))
+        for comp in fourier_system(self.d).key(k):
+            out *= dlvp_coeff(self.n, self.m, comp)
             if out == 0.0:
                 return 0.0
         return out
@@ -123,7 +116,7 @@ def kernel_values(spec: DlvpSpec, x) -> np.ndarray:
     freqs = np.arange(1, spec.support_radius + 1)
     if freqs.size == 0:
         return np.ones_like(xs)
-    a = np.array([dlvp_coeff(spec.n, spec.m, int(k)) for k in freqs])
+    a = np.array([dlvp_coeff(spec.n, spec.m, k) for k in freqs])
     return 1.0 + 2.0 * np.cos(2.0 * np.pi * np.outer(xs, freqs)) @ a
 
 

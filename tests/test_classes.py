@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -108,28 +109,36 @@ def test_expansion_key_handling():
     assert f.get((2, -1)) == 2j
     assert f.get((5, 5)) == 0j
     assert f.max_order() == 2
-    # one key rule, System.key: an int, a 1-tuple, a numpy int and a row of
-    # an index set's indices() name the same index in d = 1 and for degrees
+    # one key rule, System.key: an int, a 1-tuple, a numpy int, an integral
+    # float and a row of an index set's indices() name the same index in
+    # d = 1 and for degrees
     for system, J in ((fourier_system(1), make_index_set("box", 1, 3)),
                       (chebyshev_system(), make_index_set("degrees", M=3))):
-        spellings = (3, (3,), np.int64(3), J.indices()[-1])
+        spellings = (3, (3,), np.int64(3), 3.0, J.indices()[-1])
         assert {system.key(k) for k in spellings} == {system.key(3)}
         g = CoefficientExpansion(system, {3: 2.0})
         for k in spellings:
             assert g.get(k) == 2.0
-        for k in spellings[:3]:  # an array row is no dict key
+        for k in spellings[:4]:  # an array row is no dict key
             assert CoefficientExpansion(system, {k: 2.0}) == g
-        assert g.vector(spellings).tolist() == [2.0] * 4
+        assert g.vector(spellings).tolist() == [2.0] * 5
         v = g.vector(J)
         assert v[-1] == 2.0 and v.sum() == 2.0
-    # a wrong-dimension key and a negative degree raise everywhere a key is read
+    # a wrong-dimension key, a negative degree and a non-integer raise,
+    # naming the key, everywhere a key is read
+    empty1 = CoefficientExpansion(fourier_system(1), {})
     empty2 = CoefficientExpansion(fourier_system(2), {})
     empty_poly = CoefficientExpansion(chebyshev_system(), {})
     for f, klass, key, point in ((empty2, wiener_mixed(1.0, 2), (0,), (0.3, 0.4)),
                                  (empty2, wiener_mixed(1.0, 2), (1, 2, 3), (0.3, 0.4)),
                                  (empty_poly, poly_wiener(-0.5, 1.0, 1.0), -1, 0.0),
-                                 (empty_poly, poly_wiener(-0.5, 1.0, 1.0), (1, 2), 0.0)):
-        with pytest.raises(ValueError):
+                                 (empty2, wiener_mixed(1.0, 2), (1.5, 0), (0.3, 0.4)),
+                                 (empty1, wiener_mixed(1.0, 1), 2.7, 0.3),
+                                 (empty_poly, poly_wiener(-0.5, 1.0, 1.0), (1, 2), 0.0),
+                                 (empty_poly, poly_wiener(-0.5, 1.0, 1.0), 2.5, 0.0),
+                                 (empty_poly, poly_wiener(-0.5, 1.0, 1.0), np.inf, 0.0),
+                                 (empty_poly, poly_wiener(-0.5, 1.0, 1.0), "3", 0.0)):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
             CoefficientExpansion(f.system, {key: 1.0})
         with pytest.raises(ValueError):
             f.get(key)
@@ -425,9 +434,17 @@ def test_polynomial_values_are_the_dense_products_in_every_block(system):
 def test_truncation_error_bound():
     f = CoefficientExpansion(fourier_system(1), {(0,): 1.0, (5,): 2.0, (9,): -1j})
     J = make_index_set("box", d=1, M=5)
-    assert truncation_error_bound(wiener_mixed(1.0, 1), f, J) == 1.0
+    assert truncation_error_bound(f, J) == 1.0
     J_all = make_index_set("box", d=1, M=9)
-    assert truncation_error_bound(wiener_mixed(1.0, 1), f, J_all) == 0.0
+    assert truncation_error_bound(f, J_all) == 0.0
+    # a sequence of indices is read key by key: an ndarray J holds the rows
+    # (1, 3) and (2, 5), not every index with a 1, 2, 3 or 5 in it
+    g = CoefficientExpansion(fourier_system(2), {(1, 3): 4.0, (3, 1): 1.0, (5, 2): 2.0})
+    assert truncation_error_bound(g, np.array([[1, 3], [2, 5]])) == 3.0
+    assert truncation_error_bound(g, [[5, 2], [0, 0]]) == 5.0
+    assert truncation_error_bound(f, [0, 9.0]) == 2.0
+    with pytest.raises(ValueError):
+        truncation_error_bound(g, [(1, 3.5)])
 
 
 # ---------------------------------------------------------------------------

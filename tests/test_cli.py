@@ -4,7 +4,6 @@ oracle subcommand's CSV contract."""
 
 import json
 import subprocess
-import sys
 
 import numpy as np
 import pytest

@@ -4,7 +4,6 @@ import io
 import json
 import math
 
-import numpy as np
 import pytest
 
 from l1sample import harness

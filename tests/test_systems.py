@@ -13,7 +13,6 @@ from l1sample import (
     chebyshev_system,
     draw_points,
     evaluate_basis,
-    explicit_index_set,
     fourier_system,
     gram_matrix,
     legendre_preconditioned_system,
@@ -75,6 +74,14 @@ def test_degrees_and_membership():
     assert (2, -2) in B
     assert (3, 0) not in B
     assert (1,) not in B  # wrong dimension
+    # membership reads an index as System.key does: an int is a d = 1 box
+    # key, a 1-tuple a degree, an integral float its integer; an index the
+    # rule rejects is not a member
+    assert 3 in make_index_set("box", d=1, M=3)
+    assert (3,) in J and np.int64(3) in J
+    assert (2.0, 2) in B
+    for index in ((1.5, 0), 2.5, "x", (np.nan, 0)):
+        assert index not in B and index not in J
 
 
 def test_indices_shapes_and_tuples():
@@ -88,13 +95,10 @@ def test_indices_shapes_and_tuples():
 @pytest.mark.parametrize("index_set", [
     make_index_set("box", d=1, M=3), make_index_set("box", d=2, M=2),
     make_index_set("box", d=3, M=3), make_index_set("degrees", M=6),
-    explicit_index_set([(0, 1), (2, -3), (-1, 0)]),
 ])
 def test_index_set_at_names_positions_in_row_major_order(index_set):
     if index_set.kind == "degrees":
         expected = np.arange(index_set.M + 1)
-    elif index_set.kind == "explicit":
-        expected = np.array(index_set.members)
     else:
         R = index_set.half_width
         expected = np.array(list(itertools.product(range(-R, R + 1), repeat=index_set.d)))
@@ -102,31 +106,6 @@ def test_index_set_at_names_positions_in_row_major_order(index_set):
     positions = np.array([len(index_set) - 1, 0, 1, 1])
     assert np.array_equal(index_set.at(positions), expected[positions])
     assert index_set.at(np.array([], dtype=int)).shape == (0,) + expected.shape[1:]
-
-
-def test_explicit_index_set():
-    J = explicit_index_set([(0, 1), (2, 3)])
-    assert (0, 1) in J and (1, 0) not in J
-    with pytest.raises(ValueError):
-        explicit_index_set([1, 1])
-
-
-def test_explicit_index_set_builds_its_member_set_once(monkeypatch):
-    J = explicit_index_set([(k, -k) for k in range(1000)])
-    builds = []
-
-    def counting_frozenset(*args):
-        builds.append(1)
-        return frozenset(*args)
-
-    monkeypatch.setattr(systems, "frozenset", counting_frozenset, raising=False)
-    assert all((k, -k) in J for k in range(100))
-    assert (1, 1) not in J
-    assert builds == []
-    # the cached set takes no part in equality, hashing or the repr
-    again = explicit_index_set([(k, -k) for k in range(1000)])
-    assert again == J and hash(again) == hash(J)
-    assert "_member_set" not in repr(J)
 
 
 def test_make_index_set_validation():
@@ -225,6 +204,23 @@ def test_basis_matrix_is_c_contiguous(system, indices, points):
     A = basis_matrix(system, indices, points)
     assert A.shape == (7, 3)
     assert A.flags.c_contiguous
+
+
+def test_index_arrays_are_read_by_the_key_rule():
+    # as System.key: an integral float is its integer, any other non-integer
+    # raises, and degrees may come as 1-tuples
+    x = np.linspace(0.0, 0.9, 5)
+    with pytest.raises(ValueError):
+        basis_matrix(fourier_system(1), [0.5], x)
+    with pytest.raises(ValueError):
+        basis_matrix(chebyshev_system(), [1.5, 2.0], 2 * x - 1)
+    with pytest.raises(ValueError):
+        gram_matrix(fourier_system(2), [(0, 1), (0.5, 1)])
+    assert np.array_equal(basis_matrix(fourier_system(1), [2.0, -1.0], x),
+                          basis_matrix(fourier_system(1), [2, -1], x))
+    t = np.linspace(-1.0, 1.0, 7)
+    assert np.array_equal(basis_matrix(chebyshev_system(), [(3,), (0,)], t),
+                          basis_matrix(chebyshev_system(), [3, 0], t))
 
 
 def test_evaluate_basis_matches_matrix():

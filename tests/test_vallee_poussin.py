@@ -15,7 +15,6 @@ from l1sample.vallee_poussin import (
     dlvp_coeff,
     kernel_l1_norm,
     kernel_values,
-    tensor_dlvp_coeff,
 )
 
 from util import reference_dlvp_coeff
@@ -36,6 +35,13 @@ def test_coeff_validation():
         dlvp_coeff(2, 3, 0)
     with pytest.raises(ValueError):
         dlvp_coeff(2, -1, 0)
+    # an index is read by System.key: 5.9 is no frequency, 2.0 is 2
+    with pytest.raises(ValueError, match="5.9"):
+        DlvpSpec.tensor(1, 2).coeff(5.9)
+    with pytest.raises(ValueError, match="1.5"):
+        dlvp_coeff(2, 1, 1.5)
+    assert dlvp_coeff(2, 1, 2.0) == dlvp_coeff(2, 1, 2)
+    assert DlvpSpec.tensor(2, 1).coeff((2.0, -5)) == DlvpSpec.tensor(2, 1).coeff((2, 5))
 
 
 def test_coeff_frozen_values():
@@ -44,7 +50,7 @@ def test_coeff_frozen_values():
     assert dlvp_coeff(2, 1, -2) == 2.0 / 3.0
     # tensor pair for d = 2, M = 1 is (n, m) = (3, 2); at k = (2, 5) the
     # axis factors are 4/5 and 1/5
-    assert tensor_dlvp_coeff(2, 1, (2, 5)) == (4.0 / 5.0) * (1.0 / 5.0)
+    assert DlvpSpec.tensor(2, 1).coeff((2, 5)) == (4.0 / 5.0) * (1.0 / 5.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -49,7 +49,6 @@ from l1sample import (
     draw_points,
     emit_report,
     evaluate_function,
-    explicit_index_set,
     fourier_system,
     legendre_preconditioned_system,
     poly_wiener,
@@ -170,7 +169,7 @@ RECOVER_CASES["recover fourier_grid d=2"] = RECOVER_BASE + [
 def _fit(params: dict, klass, support, point_system, m: int, seed: int,
          factor: complex, predict_points: int = PREDICT_POINTS) -> str:
     est = FunctionRecovery(c_eta=1e-3, step_ratio=STEP, **params)
-    f = random_unit_function(klass, explicit_index_set(support), seed=seed)
+    f = random_unit_function(klass, support, seed=seed)
     pts = draw_points(point_system, m, SamplePlan(seed))
     y = factor * evaluate_function(f, pts)
     est.fit(pts, y)
