@@ -38,12 +38,11 @@ from .harness import (
     RateRow,
     RateTransferResult,
     box_parameter,
-    default_theorem,
-    emit_report,
     fit_slope,
     m_rule_exponent,
     predicted_rate,
     rate_transfer,
+    report_text,
     run_phase_experiment,
     run_rate_experiment,
 )
@@ -78,7 +77,6 @@ from .systems import (
     basis_matrix,
     chebyshev_system,
     draw_points,
-    evaluate_basis,
     fourier_system,
     gram_matrix,
     legendre_preconditioned_system,

@@ -195,11 +195,6 @@ class CoefficientExpansion:
             entries.append([idx, value.real, value.imag])
         return {"system": self.system.to_json(), "entries": entries}
 
-    @staticmethod
-    def from_json(obj: dict) -> "CoefficientExpansion":
-        coeffs = {tuple(idx): complex(re, im) for idx, re, im in obj["entries"]}
-        return CoefficientExpansion(System.from_json(obj["system"]), coeffs)
-
 
 def _sequence_norm(klass: FunctionClass, a: np.ndarray) -> float:
     """The class's l1 / l2 / l^p (quasi-)norm of already weighted moduli."""
@@ -263,10 +258,9 @@ def random_unit_function(
         N = sparsity
     if system.kind == FOURIER:
         g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        keys = [tuple(int(v) for v in row) for row in idx]
     else:
         g = rng.standard_normal(N).astype(np.complex128)
-        keys = [int(v) for v in idx]
+    keys = map(tuple, idx.reshape(N, system.dim).tolist())
     values = g / _weights(klass, idx)
     f = CoefficientExpansion(system, dict(zip(keys, values)))
     norm = class_norm(klass, f)

@@ -66,10 +66,11 @@ class FunctionRecovery:
     """Recover a sparse coefficient expansion from point samples.
 
     Parameters mirror the recovery config: the measurement system's kind
-    string and ``dim``, the torus dimension (also the class's), the sampling
-    regime, the function-class parameters driving the automatic noise
-    level, the target sparsity n and cut-off M.  ``eta`` overrides the
-    automatic noise level; ``M=None`` applies the class's cut-off rule to n.
+    string and ``dim``, the torus dimension (also the class's), the
+    function-class parameters driving the automatic noise level, the target
+    sparsity n and cut-off M; the sampling regime is the system's
+    (``recovery.default_regime``).  ``eta`` overrides the automatic noise
+    level; ``M=None`` applies the class's cut-off rule to n.
     A class is built only when one of the two is left out, and the config
     then checks it against the regime: its family and, on the torus, its
     dimension must be the system's.  The sample budget is the caller's:
@@ -84,7 +85,6 @@ class FunctionRecovery:
 
     system: str = FOURIER
     dim: int = 1
-    theorem: Optional[str] = None
     class_kind: str = "wiener_mixed"
     r: float = 1.0
     p: Optional[float] = None
@@ -123,14 +123,13 @@ class FunctionRecovery:
 
     def _build_config(self) -> RecoveryConfig:
         system = System(str(self.system), int(self.dim) if self.system == FOURIER else 1)
-        theorem = self.theorem if self.theorem is not None else default_regime(system)
         klass = None
         if self.eta is None or self.M is None:
             klass = self._resolved_class()
         M = self.M if self.M is not None else box_parameter(klass, int(self.n))
         return RecoveryConfig(
             system=system,
-            theorem=theorem,
+            theorem=default_regime(system),
             n=int(self.n),
             M=int(M),
             klass=klass,

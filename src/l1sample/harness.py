@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,11 +45,6 @@ from .systems import (
 from .bpdn import BpdnProblem, solve_bpdn_batch
 
 PHASE_SUCCESS_THRESHOLD = 1e-4
-
-
-def default_theorem(klass: FunctionClass) -> str:
-    """The sampling regime a class is analyzed under: its family's default."""
-    return default_regime(default_system(klass))
 
 
 def m_rule_exponent(klass: FunctionClass) -> float:
@@ -160,24 +155,9 @@ class RateRow:
             "success_fraction": self.success_fraction,
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "RateRow":
-        return RateRow(
-            n=int(obj["n"]),
-            m=int(obj["m"]),
-            median_error=_none_or_float(obj["median_error"]),
-            q25=_none_or_float(obj["q25"]),
-            q75=_none_or_float(obj["q75"]),
-            success_fraction=float(obj["success_fraction"]),
-        )
-
 
 def _float_or_none(x: float) -> Optional[float]:
     return None if not np.isfinite(x) else float(x)
-
-
-def _none_or_float(x) -> float:
-    return float("nan") if x is None else float(x)
 
 
 @dataclass(frozen=True)
@@ -196,20 +176,6 @@ class RateReport:
             "predicted_m": list(self.predicted_m) if self.predicted_m else None,
             "uncertified_trials": self.uncertified_trials,
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "RateReport":
-        slope = obj.get("fitted_slope")
-        pn = obj.get("predicted_n")
-        pm = obj.get("predicted_m")
-        unc = obj.get("uncertified_trials")
-        return RateReport(
-            rows=tuple(RateRow.from_json(r) for r in obj["rows"]),
-            fitted_slope=None if slope is None else float(slope),
-            predicted_n=None if pn is None else (float(pn[0]), float(pn[1])),
-            predicted_m=None if pm is None else (float(pm[0]), float(pm[1])),
-            uncertified_trials=None if unc is None else int(unc),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +248,7 @@ def _run_rows(
 def _recovery_config(config: ExperimentConfig, n: int, M: Optional[int] = None) -> RecoveryConfig:
     """A sweep's recovery set-up at sparsity n; M defaults to the class's rule."""
     klass = config.klass
-    theorem = config.theorem or default_theorem(klass)
+    theorem = config.theorem or default_regime(default_system(klass))
     return RecoveryConfig(
         system=regime_system(theorem, klass),
         theorem=theorem,
@@ -436,13 +402,3 @@ def report_text(report: RateReport, fmt: str) -> str:
             ]))
         return "\n".join(lines) + "\n"
     return json.dumps(report.to_json(), indent=2) + "\n"
-
-
-def emit_report(report: RateReport, fmt: str, path: Union[str, TextIO]) -> None:
-    """Write ``report_text(report, fmt)`` to a path or an open text stream."""
-    text = report_text(report, fmt)
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)

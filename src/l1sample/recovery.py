@@ -289,9 +289,8 @@ def recover(
     solution = solve_bpdn(problem)
 
     support = solution.z.nonzero()[0]
-    keys = columns.at(support).tolist()
-    if config.system.kind == FOURIER:  # box rows as hashable tuples
-        keys = map(tuple, keys)
+    # box rows and degrees as hashable tuples; System.key reads a 1-tuple as the degree
+    keys = map(tuple, columns.at(support).reshape(support.size, columns.d).tolist())
     expansion = CoefficientExpansion(out_system, dict(zip(keys, solution.z[support])))
 
     err = None

@@ -84,10 +84,6 @@ class System:
     def to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}
 
-    @staticmethod
-    def from_json(obj: dict) -> "System":
-        return System(str(obj["kind"]), int(obj.get("dim", 1)))
-
 
 def fourier_system(dim: int = 1) -> System:
     return System(FOURIER, dim)
@@ -598,7 +594,10 @@ def _torus_points(points, half_width: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim not in (1, 2) or pts.ndim == 2 and pts.shape[1] < 1:
         raise ValueError("points must be an (m, d) array")
-    return _point_array(fourier_system(pts.shape[1] if pts.ndim == 2 else 1), pts)
+    pts = _point_array(fourier_system(pts.shape[1] if pts.ndim == 2 else 1), pts)
+    if not pts.shape[0]:
+        raise ValueError("need at least one sample point")
+    return pts
 
 
 def _support_product(system: System, columns: IndexSet, points: np.ndarray, z) -> np.ndarray:
@@ -736,6 +735,8 @@ class FourierTables:
             raise ValueError("the matrix needs at least one degree")
         op = cls.__new__(cls)
         op._points = _point_array(chebyshev_system(), points)
+        if not op._points.size:
+            raise ValueError("need at least one sample point")
         theta = np.arccos(op._points)
         B = min(_BLOCK, N)
         op._left, op._right = _exp_rows(np.arange(0, N, B), theta), _exp_rows(np.arange(B), theta)
@@ -802,11 +803,6 @@ class FourierTables:
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         """A z from the basis functions of the support's columns, not the tables."""
         return _support_product(self._system, self._columns, self._points, z)
-
-
-def evaluate_basis(system: System, index, point) -> complex:
-    """Value of one basis function at one point."""
-    return complex(basis_matrix(system, [system.key(index)], point).reshape(-1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_set_params_updates_and_rejects_unknown():
     out = est.set_params(n=9, eta=0.5)
     assert out is est
     assert est.n == 9 and est.eta == 0.5
-    for name in ("sparsity", "c_sample", "obj_tol", "max_iters"):
+    for name in ("sparsity", "c_sample", "obj_tol", "max_iters", "theorem"):
         with pytest.raises(ValueError):
             est.set_params(**{name: 3})
 

@@ -1,6 +1,5 @@
 """Tests for the experiment driver: rules, exponents, fits, and reports."""
 
-import io
 import json
 import math
 
@@ -10,6 +9,7 @@ from l1sample import harness
 from l1sample.bpdn import solve_bpdn_batch
 from l1sample.classes import (
     analytic_best_term_bound,
+    default_system,
     poly_wiener,
     sobolev_mixed,
     wiener_iso,
@@ -22,13 +22,12 @@ from l1sample.harness import (
     RateReport,
     RateRow,
     box_parameter,
-    default_theorem,
-    emit_report,
     fit_slope,
     m_rule_exponent,
     predicted_rate,
     rate_transfer,
     regime_system,
+    report_text,
     run_phase_experiment,
     run_rate_experiment,
 )
@@ -36,6 +35,7 @@ from l1sample.recovery import (
     CHEBYSHEV_REGIME,
     FOURIER3,
     LEGENDRE_REGIME,
+    default_regime,
 )
 from l1sample.systems import chebyshev_system, fourier_system
 
@@ -44,12 +44,15 @@ from l1sample.systems import chebyshev_system, fourier_system
 # regime selection and cut-off rules
 
 
-def test_default_theorem_by_class():
-    assert default_theorem(wiener_mixed(1.0, 1)) == FOURIER3
-    assert default_theorem(sobolev_mixed(1.0, 2)) == FOURIER3
-    assert default_theorem(wiener_iso(1.0, 1.0, 2)) == FOURIER3
-    assert default_theorem(poly_wiener(-0.5, 1.0, 1.0)) == CHEBYSHEV_REGIME
-    assert default_theorem(poly_wiener(0.0, 1.0, 1.0)) == LEGENDRE_REGIME
+def test_default_regime_by_class():
+    def regime(klass):
+        return default_regime(default_system(klass))
+
+    assert regime(wiener_mixed(1.0, 1)) == FOURIER3
+    assert regime(sobolev_mixed(1.0, 2)) == FOURIER3
+    assert regime(wiener_iso(1.0, 1.0, 2)) == FOURIER3
+    assert regime(poly_wiener(-0.5, 1.0, 1.0)) == CHEBYSHEV_REGIME
+    assert regime(poly_wiener(0.0, 1.0, 1.0)) == LEGENDRE_REGIME
 
 
 def test_regime_system_dimensions():
@@ -237,10 +240,9 @@ def test_fit_slope_skips_bad_values_and_degenerates_to_none():
 def test_rate_row_json_round_trip_with_nan():
     row = RateRow(4, 10, float("nan"), float("nan"), float("nan"), 0.0)
     payload = row.to_json()
-    assert payload["median_error"] is None
-    back = RateRow.from_json(payload)
-    assert back.n == 4 and back.m == 10
-    assert math.isnan(back.median_error)
+    assert payload == {"n": 4, "m": 10, "median_error": None, "q25": None, "q75": None,
+                       "success_fraction": 0.0}
+    assert json.loads(json.dumps(payload)) == payload
 
 
 def test_rate_report_json_round_trip():
@@ -251,15 +253,17 @@ def test_rate_report_json_round_trip():
         predicted_m=(-1.5, 5.0),
         uncertified_trials=1,
     )
-    back = RateReport.from_json(json.loads(json.dumps(report.to_json())))
-    assert back == report
+    payload = report.to_json()
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload["predicted_n"] == [-1.5, 0.5] and payload["uncertified_trials"] == 1
+    assert RateReport(rows=()).to_json() == {
+        "rows": [], "fitted_slope": None, "predicted_n": None, "predicted_m": None,
+        "uncertified_trials": None}
 
 
-def test_emit_report_csv_format():
+def test_report_text_csv_format():
     report = RateReport(rows=(RateRow(4, 10, 1.0 / 3.0, 0.25, 0.5, 1.0),))
-    buf = io.StringIO()
-    emit_report(report, "csv", buf)
-    lines = buf.getvalue().splitlines()
+    lines = report_text(report, "csv").splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 2
     fields = lines[1].split(",")
@@ -268,17 +272,12 @@ def test_emit_report_csv_format():
     assert float(fields[2]) == 1.0 / 3.0
 
 
-def test_emit_report_empty_and_json_and_path(tmp_path):
-    empty = RateReport(rows=())
-    buf = io.StringIO()
-    emit_report(empty, "csv", buf)
-    assert buf.getvalue() == CSV_HEADER + "\n"
+def test_report_text_empty_and_json():
+    assert report_text(RateReport(rows=()), "csv") == CSV_HEADER + "\n"
     report = RateReport(rows=(RateRow(4, 10, 0.5, 0.4, 0.6, 1.0),), fitted_slope=-1.0)
-    target = tmp_path / "report.json"
-    emit_report(report, "json", str(target))
-    assert RateReport.from_json(json.loads(target.read_text())) == report
+    assert json.loads(report_text(report, "json")) == report.to_json()
     with pytest.raises(ValueError):
-        emit_report(report, "yaml", buf)
+        report_text(report, "yaml")
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,9 @@ def test_zero_samples_give_zero_reconstruction():
     assert result.expansion.coefficients == {}
     assert result.certified
     assert result.solution.iterations == 0
+    # an empty support names no degree either
+    cfg = RecoveryConfig(chebyshev_system(), CHEBYSHEV_REGIME, n=2, M=3, eta_override=0.0)
+    assert recover(np.zeros(5), cfg, np.linspace(-1.0, 1.0, 5)).expansion.coefficients == {}
 
 
 def test_recovered_error_within_constant_times_eta():

@@ -12,7 +12,6 @@ from l1sample import (
     basis_matrix,
     chebyshev_system,
     draw_points,
-    evaluate_basis,
     fourier_system,
     gram_matrix,
     legendre_preconditioned_system,
@@ -41,11 +40,6 @@ def test_system_validation():
     with pytest.raises(ValueError):
         System("chebyshev", 2)
     assert fourier_system(3).dim == 3
-
-
-def test_system_json_round_trip():
-    for sys_ in (fourier_system(3), chebyshev_system(), legendre_raw_system()):
-        assert System.from_json(sys_.to_json()) == sys_
 
 
 def test_uniform_bounds():
@@ -153,7 +147,7 @@ def test_chebyshev_matrix_against_closed_forms():
 
 def test_chebyshev_frozen_value():
     # degree 2 at x=0: sqrt(2) * cos(2 * arccos 0) = -sqrt(2)
-    val = evaluate_basis(chebyshev_system(), 2, 0.0)
+    val = basis_matrix(chebyshev_system(), [2], [0.0])[0, 0]
     assert val == -SQRT2
 
 
@@ -176,7 +170,7 @@ def test_legendre_preconditioned_is_weighted_raw():
 
 def test_legendre_preconditioned_frozen_value():
     # degree 0 at x=0: sqrt(pi) * sqrt(1/2) = sqrt(pi/2)
-    val = evaluate_basis(legendre_preconditioned_system(), 0, 0.0)
+    val = basis_matrix(legendre_preconditioned_system(), [0], [0.0])[0, 0]
     assert abs(val - 1.2533141373155003) < 5e-16
 
 
@@ -221,13 +215,6 @@ def test_index_arrays_are_read_by_the_key_rule():
     t = np.linspace(-1.0, 1.0, 7)
     assert np.array_equal(basis_matrix(chebyshev_system(), [(3,), (0,)], t),
                           basis_matrix(chebyshev_system(), [3, 0], t))
-
-
-def test_evaluate_basis_matches_matrix():
-    sys_ = fourier_system(2)
-    val = evaluate_basis(sys_, (1, 2), (0.3, 0.4))
-    A = basis_matrix(sys_, [(1, 2)], [(0.3, 0.4)])
-    assert val == A[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +290,7 @@ def test_gram_identity(system, indices):
     x=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
 def test_fourier_modulus_never_exceeds_one(k, x):
-    val = evaluate_basis(fourier_system(1), (k,), x)
+    val = basis_matrix(fourier_system(1), [(k,)], [x])[0, 0]
     assert abs(val) <= 1.0
 
 
@@ -313,7 +300,7 @@ def test_fourier_modulus_never_exceeds_one(k, x):
     x=st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_chebyshev_bound_holds(n, x):
-    val = evaluate_basis(chebyshev_system(), n, x)
+    val = basis_matrix(chebyshev_system(), [n], [x])[0, 0]
     assert abs(val) <= SQRT2 + 1e-12
 
 
@@ -323,7 +310,7 @@ def test_chebyshev_bound_holds(n, x):
     x=st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_preconditioned_legendre_bound_holds(n, x):
-    val = evaluate_basis(legendre_preconditioned_system(), n, x)
+    val = basis_matrix(legendre_preconditioned_system(), [n], [x])[0, 0]
     assert abs(val) <= 4.0 * np.sqrt(np.pi) + 1e-9
 
 
@@ -363,6 +350,9 @@ def test_chebyshev_transform_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             FourierTables.chebyshev([0.1, bad], 8)
+    for empty in ([], np.empty(0)):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            FourierTables.chebyshev(empty, 5)
 
 
 @pytest.mark.parametrize("system, indices, points", [
@@ -467,6 +457,9 @@ def test_lattice_fourier_validation():
         LatticeFourier([0.0, np.nan], 1)
     with pytest.raises(ValueError):
         LatticeFourier([0.0], -1)
+    for empty in ([], np.empty((0, 1)), np.empty((0, 2))):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            LatticeFourier(empty, 2)
     one, two = LatticeFourier([0.0, 1 / 3], 1), LatticeFourier([[0.0, 0.2]], 2)
     with pytest.raises(ValueError):
         LatticeFourier.stack([one, two])
@@ -550,3 +543,6 @@ def test_fourier_tables_validation():
         FourierTables([0.1], -1)
     with pytest.raises(ValueError):
         FourierTables(np.zeros((2, 2, 2)), 1)
+    for empty in ([], np.empty((0, 1)), np.empty((0, 2))):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            FourierTables(empty, 2)

@@ -47,12 +47,12 @@ from l1sample import (
     SamplePlan,
     chebyshev_system,
     draw_points,
-    emit_report,
     evaluate_function,
     fourier_system,
     legendre_preconditioned_system,
     poly_wiener,
     random_unit_function,
+    report_text,
     run_phase_experiment,
     run_rate_experiment,
     sobolev_mixed,
@@ -99,7 +99,7 @@ PHASE_CASES = {
                           m_grid=(3, 6, 9), trials=5, seed=4),
 }
 
-# estimator fits with the default regime (theorem=None) and cut-off (M=None):
+# estimator fits with the default cut-off (M=None):
 # (estimator parameters, true function's class, its support, system the points
 # are drawn for, point count, seed, factor the samples are multiplied by,
 # optionally the number of points predict is printed at)
@@ -277,9 +277,7 @@ def main() -> int:
     for title, config in RATE_CASES.items():
         report = run_rate_experiment(config)
         _section(title, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-        csv = io.StringIO()
-        emit_report(report, "csv", csv)
-        _section(title + " csv", csv.getvalue())
+        _section(title + " csv", report_text(report, "csv"))
     for title, kwargs in PHASE_CASES.items():
         report = run_phase_experiment(step_ratio=STEP, **kwargs)
         _section(title, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
