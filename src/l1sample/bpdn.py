@@ -287,10 +287,10 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     more than one.  ``systems.LatticeFourier`` has ``norms``, ``stack`` and
     ``take``; ``systems.FourierTables``, the Fourier matrix at any points,
     has only the products, and its real form for Chebyshev,
-    ``FourierTables.chebyshev``, also ``fast`` (a nonuniform FFT).  A dense
-    matrix becomes a one-trial operator that reads it in place;
-    ``BpdnProblem`` copies it once only when it is not C-contiguous (or not
-    of the data's dtype).
+    ``FourierTables.chebyshev``, also ``fast`` (a nonuniform FFT folded into
+    a real DCT, one real FFT per row).  A dense matrix becomes a one-trial
+    operator that reads it in place; ``BpdnProblem`` copies it once only
+    when it is not C-contiguous (or not of the data's dtype).
 
     The iterates are sparse, so the forward products (the step and every
     residual, including the returned one) multiply only the columns on the

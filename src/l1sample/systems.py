@@ -363,10 +363,12 @@ def _fourier_synthesis(indices: np.ndarray, values: np.ndarray, points: np.ndarr
 # Kernel of the fast Chebyshev products: psi(z) = exp(beta (sqrt(1 - z^2) - 1))
 # on |z| < 1, the "exponential of semicircle" of Barnett, Magland and
 # af Klinteberg (SISC 2019), spread over _KERNEL_WIDTH points of a grid at
-# least twice as fine as the degrees.  Against the dense products both
-# transforms read at most 3e-14 relative error in norm for N <= 300 and
-# 1.4e-12 at 1616 x 17377 (criterion 7's largest matrix), where the dense
-# products are themselves 9e-13 off a long-double evaluation of the cosines.
+# least twice as fine as the degrees.  Against a long-double evaluation of
+# the cosines both products read at most 2.7e-14 relative error in norm for
+# N <= 300, 3.1e-13 at 331 x 3073 and 1.7e-12 at 1616 x 17377 (criterion 7's
+# largest matrix; three draws each, with points at both ends), where the
+# dense products read 1.7e-14, 1.7e-13 and 9e-13.  A point's rounded grid
+# position puts a phase error of k times its rounding on degree k < N.
 _KERNEL_WIDTH = 16
 _KERNEL_BETA = 2.30 * _KERNEL_WIDTH
 _KERNEL_NODES = 32  # Gauss-Legendre nodes for the kernel's Fourier transform
@@ -393,79 +395,81 @@ class ChebyshevTransform:
 
     ``A = basis_matrix(chebyshev_system(), range(N), points)`` has entries
     c_k cos(k theta_i) at theta_i = arccos x_i, so ``A^T w`` is a nonuniform
-    FFT of type 1 and ``A v`` one of type 2 (Greengard and Lee, SIAM Rev.
-    2004).  Both cost O(m w + n log n) for a kernel of width w and a grid of
-    n >= 2N points, against O(m N) for the dense products.  The degrees are
-    centred on the grid by the phase exp(-i K0 theta), K0 = N // 2, so that
-    no degree lies near the grid's Nyquist frequency.  The products take
-    (T, N) and (T, m) stacks, real or complex, row by row; a complex stack
-    runs as its real and imaginary parts, extra real rows of one FFT call.
-    Built by ``FourierTables.chebyshev``, as its ``fast``, from the angles
-    theta.
+    cosine transform of type 1 and ``A v`` one of type 2 (Greengard and Lee,
+    SIAM Rev. 2004, for the Fourier case).  The kernel spreads each point
+    onto M half-integer grid points pi (j + 1/2) / M of [0, pi], M >= 2N
+    even; its cells past theta = 0 and theta = pi fold back onto the grid,
+    which is the even extension of the data to the circle.  The cosine sums
+    at the grid are then a DCT-II of length M, which is one real FFT of
+    length M with the grid stored in Makhoul's order (even cells first, odd
+    cells reversed after them; Makhoul, IEEE Trans. ASSP 1980) and a phase
+    exp(-i pi k / (2M)) on its output.  No degree needs centring: the
+    folded grid has twice the points of the degrees on [0, pi].  Both
+    products cost O(m w + M log M) for a kernel of width w, against O(m N)
+    for the dense products.  The products take (T, N) and (T, m) stacks,
+    real or complex, row by row, one ``rfft`` or ``irfft`` per row; a
+    complex stack runs as its real and imaginary parts, extra real rows of
+    one FFT call.  Built by ``FourierTables.chebyshev``, as its ``fast``,
+    from the angles theta.
     """
 
     def __init__(self, theta: np.ndarray, N: int) -> None:
         self.shape = (theta.shape[0], N)
         w = _KERNEL_WIDTH
-        n = _smooth_length(max(2 * N, 2 * w))
-        shift = N // 2
-        grid = theta * (n / (2.0 * np.pi))  # theta in units of the grid spacing
+        M = 2 * _smooth_length(max(N, w // 2))
+        grid = theta * (M / np.pi) - 0.5  # theta in units of the grid spacing
         start = np.ceil(grid - w / 2)
         self._table = _kernel((start[:, None] + np.arange(w) - grid[:, None]) / (w / 2))
         cells = start.astype(np.int64)[:, None] + np.arange(w)
-        self._cells = np.remainder(cells, n, out=cells)
-        self._phase = np.exp(-1j * shift * theta)
-        self._shift = shift
-        # c_k h / psi_hat(k - K0), psi_hat by quadrature on [0, 1] (psi is
-        # even), one node at a time so no nodes x N temporary is built
+        cells = np.where(cells < 0, -1 - cells, np.where(cells >= M, 2 * M - 1 - cells, cells))
+        self._cells = np.where(cells % 2 == 0, cells // 2, M - 1 - cells // 2)
+        # c_k (2 / w) / psi_hat(k pi w / (2M)), the circle having 2M grid
+        # points; psi_hat by quadrature on [0, 1] (psi is even), one node at
+        # a time so no nodes x N temporary is built
         x, weights = leggauss(_KERNEL_NODES)
         z = (x + 1.0) / 2.0
-        freq = (np.arange(N) - shift) * (np.pi * w / n)
+        freq = np.arange(N) * (np.pi * w / (2 * M))
         psi_hat = np.zeros(N)
         for zj, cj in zip(z, weights * _kernel(z)):
             psi_hat += cj * np.cos(freq * zj)
-        self._scale = np.divide(2.0 / w, psi_hat, out=psi_hat)
-        self._scale *= _chebyshev_scale(np.arange(N))
-        self._grid_size = n
+        scale = np.divide(2.0 / w, psi_hat, out=psi_hat)
+        scale *= _chebyshev_scale(np.arange(N))
+        self._twiddle = scale * np.exp(1j * np.pi / (2 * M) * np.arange(N))
+        self._grid_size = M
 
-    # Degree k sits at grid index k - K0 modulo the grid size: degrees
-    # 0..K0-1 at the grid's end, K0..N-1 at its start.  Both products work
-    # in place on one grid per call; with the matrix resident, every
-    # temporary shows in the process's peak memory.
+    # DCT-II(g)[k] = Re(exp(-i pi k / (2M)) rfft(v)[k]), v being g in
+    # Makhoul's order; the twiddle is the deconvolution times the conjugate
+    # phase.  The forward product is the exact transpose: the twiddle, the
+    # terms k >= 1 halved for irfft's Hermitian pairs (k < N <= M/2 never
+    # reaches the Nyquist term), and no 1/M.  With the matrix resident,
+    # every temporary shows in the process's peak memory.
 
     def adjoint(self, W: np.ndarray) -> np.ndarray:
         """Row t of A^T w_t (equal to A^H w_t, A being real) for a (T, m)
-        stack: spread, one FFT per row, deconvolve."""
-        C = _parts(W) * self._phase
-        cells, n = self._cells.ravel(), self._grid_size
-        grid = np.empty(C.shape[:-1] + (n,), dtype=np.complex128)
-        for row, c in zip(grid.reshape(-1, n), C.reshape(-1, C.shape[-1])):
-            row.real = np.bincount(cells, (c.real[:, None] * self._table).ravel(), n)
-            row.imag = np.bincount(cells, (c.imag[:, None] * self._table).ravel(), n)
-        np.fft.fft(grid, out=grid)
-        N, shift = self._scale.shape[0], self._shift
-        out = np.empty(grid.shape[:-1] + (N,))
-        out[..., :shift] = grid.real[..., n - shift:]
-        out[..., shift:] = grid.real[..., :N - shift]
-        out *= self._scale
+        stack: spread, one real FFT per row, deconvolve."""
+        C = _parts(W)
+        cells, M = self._cells.ravel(), self._grid_size
+        grid = np.empty(C.shape[:-1] + (M,))
+        for row, c in zip(grid.reshape(-1, M), C.reshape(-1, C.shape[-1])):
+            row[:] = np.bincount(cells, (c[:, None] * self._table).ravel(), M)
+        V = np.fft.rfft(grid)[..., :self.shape[1]]
+        out = V.real * self._twiddle.real
+        out += V.imag * self._twiddle.imag
         return _joined(out)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Row t of A x_t for a (T, N) stack: deconvolve, one FFT per row, gather."""
-        N, shift, n = self._scale.shape[0], self._shift, self._grid_size
-        U = self._scale * _parts(X)
-        grid = np.zeros(U.shape[:-1] + (n,), dtype=np.complex128)
-        grid[..., :N - shift] = U[..., shift:]
-        grid[..., n - shift:] = U[..., :shift]
-        np.fft.fft(grid, out=grid)
+        """Row t of A x_t for a (T, N) stack: deconvolve, one real inverse
+        FFT per row, gather."""
+        N, M = self.shape[1], self._grid_size
+        U = _parts(X)
+        H = np.zeros(U.shape[:-1] + (M // 2 + 1,), dtype=np.complex128)
+        np.multiply(U, self._twiddle, out=H[..., :N])
+        H[..., 1:N] *= 0.5
+        grid = np.fft.irfft(H, M, norm="forward")
         out = np.empty(grid.shape[:-1] + (self.shape[0],))
-        # one row at a time: the gather of one row of the grid's strided real
-        # and imaginary views is contiguous without a copy of the grid, and
-        # its sums round as they do for that row alone
-        for row, o in zip(grid.reshape(-1, n), out.reshape(-1, out.shape[-1])):
-            re = (row.real[self._cells] * self._table).sum(axis=1)
-            im = (row.imag[self._cells] * self._table).sum(axis=1)
-            np.subtract(self._phase.real * re, self._phase.imag * im, out=o)
+        # one row at a time: its sums round as they do for that row alone
+        for row, o in zip(grid.reshape(-1, M), out.reshape(-1, out.shape[-1])):
+            np.einsum("ij,ij->i", row[self._cells], self._table, out=o)
         return _joined(out)
 
 
@@ -697,8 +701,8 @@ class FourierTables:
     gathers the support's rows of both views at any support,
     ``_FORWARD_COLUMNS`` at a time, its pairs summed; a complex stack runs
     as its real and imaginary parts.  Its ``fast`` is the
-    ``ChebyshevTransform`` of the same points, accurate to about 1e-12
-    relative.
+    ``ChebyshevTransform`` of the same points, accurate to about 2e-12
+    relative at 1616 x 17377.
 
     ``A @ z`` (one trial) evaluates the columns on the support of z by
     direct exponentials or cosines (``basis_matrix``), independently of the

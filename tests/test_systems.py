@@ -318,14 +318,23 @@ def test_preconditioned_legendre_bound_holds(n, x):
 # fast Chebyshev products
 
 
-@pytest.mark.parametrize("m, N", [(1, 1), (3, 2), (6, 97), (50, 300), (1616, 17377)])
+def _fold_points(rng, m, N):
+    """m points in [-1, 1], the first ones on or near the ends: x = 1 and
+    x = -1 centre the kernel on theta = 0 and theta = pi, and three angles
+    within a few cells of each end (cells of pi / M, M <= 2.5 max(N, 8)
+    grid points) put it across the fold there."""
+    near = np.pi * np.array([0.5, 3.0, 7.0]) / (4 * max(N, 8))
+    theta = np.concatenate(([0.0, np.pi], near, np.pi - near, np.pi * rng.random(m)))
+    return np.cos(theta[:m])
+
+
+# (53, 544): the smallest 5-smooth length >= 2N is odd (1125), and the grid
+# takes the even 1152
+@pytest.mark.parametrize("m, N", [(1, 1), (3, 2), (6, 97), (50, 300), (53, 544), (1616, 17377)])
 @pytest.mark.parametrize("complex_data", [False, True])
 def test_chebyshev_transform_matches_the_dense_products(m, N, complex_data):
     rng = np.random.default_rng(m + N)
-    x = np.cos(np.pi * rng.random(m))
-    # x = 1 puts the kernel across the grid's wrap-around at theta = 0, and
-    # x = -1 centres it on theta = pi
-    x[:2] = [1.0, -1.0][:m]
+    x = _fold_points(rng, m, N)
     A = basis_matrix(chebyshev_system(), np.arange(N), x)
     T = FourierTables.chebyshev(x, N).fast
     w, v = rng.normal(size=m), rng.normal(size=N)
@@ -340,6 +349,22 @@ def test_chebyshev_transform_matches_the_dense_products(m, N, complex_data):
         assert got.shape == want.shape
         assert np.iscomplexobj(got) == complex_data
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+# the products are each other's transpose: a permutation or fold error in
+# one of them alone shows here
+@pytest.mark.parametrize("m, N", [(331, 3073), (1616, 17377)])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_chebyshev_transform_products_are_transposes(m, N, complex_data):
+    rng = np.random.default_rng(m + N + 2)
+    T = FourierTables.chebyshev(_fold_points(rng, m, N), N).fast
+    V, W = rng.normal(size=(2, N)), rng.normal(size=(2, m))
+    if complex_data:
+        V, W = V + 1j * rng.normal(size=(2, N)), W + 1j * rng.normal(size=(2, m))
+    AV, AtW = T.forward(V), T.adjoint(W)
+    for t in range(2):
+        left, right = AV[t] @ W[t], V[t] @ AtW[t]
+        assert abs(left - right) <= 1e-12 * np.linalg.norm(AV[t]) * np.linalg.norm(W[t])
 
 
 def test_chebyshev_transform_validation():
