@@ -17,19 +17,15 @@ from .classes import (
     class_norm,
     default_system,
     evaluate_function,
-    index_weight,
     poly_wiener,
-    quadrature_l2_norm,
     random_unit_function,
     sobolev_mixed,
-    truncation_error_bound,
     wiener_iso,
     wiener_mixed,
 )
 from .estimator import (
     FunctionRecovery,
     NotFittedError,
-    check_sample_points,
     check_sample_values,
 )
 from .harness import (
@@ -48,13 +44,10 @@ from .harness import (
 )
 from .oracles import (
     DiagonalSpec,
-    ProductBoundResult,
     best_n_term_l2,
-    best_n_term_weighted,
     geometric_decay,
     pietsch_diag_an,
     power_decay,
-    product_bound_check,
     sigma_s_l1,
     stechkin_bound,
 )
@@ -64,7 +57,6 @@ from .recovery import (
     build_matrix,
     choose_eta,
     l2_error,
-    legendre_truncation,
     recover,
     sample_count,
     search_set,
@@ -73,7 +65,6 @@ from .systems import (
     IndexSet,
     SamplePlan,
     System,
-    UnboundedSystemError,
     basis_matrix,
     chebyshev_system,
     draw_points,
@@ -82,13 +73,11 @@ from .systems import (
     legendre_preconditioned_system,
     legendre_raw_system,
     make_index_set,
-    uniform_bound,
 )
 from .vallee_poussin import (
     DlvpSpec,
     apply_quasi_projection,
     chebyshev_lift,
-    chebyshev_unlift,
     dlvp_coeff,
     kernel_l1_norm,
 )

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .systems import (
     FOURIER,
-    LEGENDRE_RAW,
     IndexSet,
     System,
     _fourier_synthesis,
@@ -110,11 +108,6 @@ def _weights(klass: FunctionClass, idx: np.ndarray) -> np.ndarray:
     return (1.0 + np.abs(idx).max(axis=1)) ** klass.r
 
 
-def index_weight(klass: FunctionClass, index) -> float:
-    """The class's per-index weight; always >= 1."""
-    return float(_weights(klass, [default_system(klass).key(index)])[0])
-
-
 # ---------------------------------------------------------------------------
 # expansions
 
@@ -170,23 +163,10 @@ class CoefficientExpansion:
             indices = indices.indices()
         return np.asarray([self.get(k) for k in indices], dtype=np.complex128)
 
-    def max_order(self) -> int:
-        """Largest absolute frequency component or polynomial degree."""
-        if not self.coefficients:
-            return 0
-        arr = self.support_array()
-        return int(np.abs(arr).max())
-
     def scaled(self, factor: complex) -> "CoefficientExpansion":
         return CoefficientExpansion(
             self.system, {k: factor * v for k, v in self.coefficients.items()}
         )
-
-    def l1_norm(self) -> float:
-        return float(sum(abs(v) for v in self.coefficients.values()))
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.coefficients.values())))
 
     def to_json(self) -> dict:
         entries = []
@@ -298,19 +278,6 @@ def evaluate_function(f: CoefficientExpansion, points):
     return complex(vals[0]) if scalar else vals
 
 
-def truncation_error_bound(f: CoefficientExpansion, J) -> float:
-    """The l1 coefficient tail outside J, an upper bound for the uniform-norm
-    truncation error of the partial sum over J.  J is an ``IndexSet`` or a
-    sequence of indices, each read by ``f.system.key``."""
-    if not isinstance(J, IndexSet):
-        J = {f.system.key(k) for k in J}
-    tail = 0.0
-    for key, value in f.coefficients.items():
-        if key not in J:
-            tail += abs(value)
-    return float(tail)
-
-
 # ---------------------------------------------------------------------------
 # analytic worst-case bounds used by automatic noise-level selection
 
@@ -374,36 +341,3 @@ def analytic_tail_bound(klass: FunctionClass, M: int) -> float:
     T = 2.0 * _tail_power_sum(2.0 * r, M + 2)
     inner = max(S - T, 0.0)
     return float(np.sqrt(max(S**klass.d - inner**klass.d, 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# quadrature norms (cross-checks for Parseval identities)
-
-
-def quadrature_l2_norm(f: CoefficientExpansion) -> float:
-    """L2 norm of the expansion in the system's orthogonality measure,
-    computed by quadrature rather than through Parseval: for order n, 2n + 1
-    nodes per torus axis, 2n + 8 Gauss nodes for ``legendre_raw`` and 4n + 64
-    for the arcsine-measure systems."""
-    kind = f.system.kind
-    order = f.max_order()
-    if kind == FOURIER:
-        nodes = 2 * order + 1
-        axes = [np.arange(nodes) / nodes] * f.system.dim
-        grid = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack(grid, axis=-1).reshape(-1, f.system.dim)
-        vals = evaluate_function(f, pts)
-        return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
-    if kind == LEGENDRE_RAW:
-        nodes = 2 * order + 8
-        x, w = leggauss(nodes)
-        vals = evaluate_function(f, x)
-        return float(np.sqrt(np.sum(w * np.abs(vals) ** 2)))
-    # arcsine-measure systems: substitute x = cos(pi*theta); the pushforward
-    # of the uniform theta-measure is exactly the arcsine measure
-    nodes = 4 * order + 64
-    t, w = leggauss(nodes)
-    theta = 0.5 * (t + 1.0)
-    x = np.cos(np.pi * theta)
-    vals = evaluate_function(f, x)
-    return float(np.sqrt(np.sum(0.5 * w * np.abs(vals) ** 2)))

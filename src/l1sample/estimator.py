@@ -27,21 +27,12 @@ from .recovery import (
 from .systems import (
     FOURIER,
     System,
-    _point_array,
     basis_matrix,
 )
 
 
 class NotFittedError(ValueError, AttributeError):
     """predict/transform/score was called before fit."""
-
-
-def check_sample_points(X, system: System) -> np.ndarray:
-    """Canonicalize sample points for a system and reject non-finite input.
-
-    Returns shape (m, d) for Fourier systems and (m,) for polynomial ones.
-    """
-    return _point_array(system, _nonempty(X))
 
 
 def _nonempty(X) -> np.ndarray:

@@ -1,26 +1,19 @@
 """Best-term widths and related reference quantities.
 
 These are the quantities recovery errors get compared against: best s-term
-errors in plain and weighted sequence norms, the Stechkin bound that links
-l^p quasi-norms to l1 tails, and approximation numbers of diagonal operators
+errors in plain sequence norms, the Stechkin bound that links l^p
+quasi-norms to l1 tails, and approximation numbers of diagonal operators
 between weighted l2 spaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
-from .classes import (
-    SOBOLEV_MIXED,
-    WIENER_MIXED,
-    CoefficientExpansion,
-    FunctionClass,
-    _sequence_norm,
-    _weighted_moduli,
-)
+from .classes import CoefficientExpansion
 
 POWER = "power"
 GEOMETRIC = "geometric"
@@ -58,28 +51,6 @@ def best_n_term_l2(x, n: int) -> float:
         return 0.0
     order = _largest_first(a)
     return float(np.sqrt((a[order[n:]] ** 2).sum()))
-
-
-def _class_best_term(klass: FunctionClass, f: CoefficientExpansion, n: int) -> float:
-    """Best n-term error in the class (quasi-)norm: the norm of f without
-    its n largest terms by weighted modulus."""
-    a = _weighted_moduli(klass, f)
-    return _sequence_norm(klass, a[_largest_first(a)[n:]])
-
-
-def best_n_term_weighted(klass: FunctionClass, f: CoefficientExpansion, n: int) -> float:
-    """Best n-term error in the class norm.
-
-    The class norms are coordinatewise monotone, so keeping the n largest
-    weighted moduli is exactly optimal.  Supported for the weighted-l1 and
-    weighted-l2 classes.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if klass.kind not in (WIENER_MIXED, SOBOLEV_MIXED):
-        raise ValueError("weighted best-term errors are defined for the "
-                         "weighted-l1 and weighted-l2 classes")
-    return _class_best_term(klass, f, n)
 
 
 def stechkin_bound(p: float, n: int, quasi_norm: float = 1.0) -> float:
@@ -171,58 +142,3 @@ def pietsch_diag_an(
     vals = np.nan_to_num(vals, nan=0.0)
     best = int(np.argmax(vals))
     return float(vals[best]), bool(best == S.size - 1)
-
-
-# ---------------------------------------------------------------------------
-# two-step best-term bound
-
-_RTOL = 1e-12  # relative rounding slack of the product bound
-
-
-@dataclass(frozen=True)
-class ProductBoundResult:
-    lhs: float
-    factor1: float
-    factor2: float
-    holds: bool
-
-    @property
-    def bound(self) -> float:
-        return self.factor1 * self.factor2
-
-
-def product_bound_check(
-    f: CoefficientExpansion,
-    n1: int,
-    n2: int,
-    intermediate_class: FunctionClass,
-    target_class: Optional[FunctionClass] = None,
-) -> ProductBoundResult:
-    """Check the two-step best-term inequality on a concrete function:
-
-        e(n1 + n2; f, target) <= e(n1; f, intermediate)
-                                 * e(n2; residual / factor1, target)
-
-    where e(n; g, norm) is the best n-term error of g in that norm and the
-    residual is f minus its best n1-term part in the intermediate norm.
-    The target norm is plain l2 when no target class is given.
-    """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("term counts must be >= 0")
-
-    def target_error(g: CoefficientExpansion, n: int) -> float:
-        if target_class is None:
-            return best_n_term_l2(g, n)
-        return _class_best_term(target_class, g, n)
-
-    a = _weighted_moduli(intermediate_class, f)
-    dropped = _largest_first(a)[n1:]
-    factor1 = _sequence_norm(intermediate_class, a[dropped])
-    lhs = target_error(f, n1 + n2)
-    if factor1 == 0.0:
-        return ProductBoundResult(lhs, 0.0, 0.0, holds=lhs <= _RTOL)
-    items = f.items()
-    residual = {items[i][0]: (1.0 / factor1) * items[i][1] for i in dropped}
-    factor2 = target_error(CoefficientExpansion(f.system, residual), n2)
-    bound = factor1 * factor2
-    return ProductBoundResult(lhs, factor1, factor2, holds=lhs <= bound * (1 + _RTOL))

@@ -334,13 +334,3 @@ def l2_error(f: CoefficientExpansion, g: CoefficientExpansion) -> float:
         diff = fa.coefficients.get(key, 0j) - ga.coefficients.get(key, 0j)
         total += abs(diff) ** 2
     return float(np.sqrt(total))
-
-
-def legendre_truncation(f: CoefficientExpansion, M: int) -> CoefficientExpansion:
-    """Keep only the coefficients of degree <= M of a Legendre expansion."""
-    if f.system.kind not in _LEGENDRE_KINDS:
-        raise ValueError("truncation is defined for Legendre expansions")
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    kept = {k: v for k, v in f.coefficients.items() if k <= M}
-    return CoefficientExpansion(f.system, kept)

@@ -37,10 +37,6 @@ BOX = "box"
 DEGREES = "degrees"
 
 
-class UnboundedSystemError(ValueError):
-    """An operation required a finite uniform bound and the system has none."""
-
-
 @dataclass(frozen=True)
 class System:
     """Descriptor of an orthonormal system: family tag plus torus dimension.
@@ -99,17 +95,6 @@ def legendre_preconditioned_system() -> System:
 
 def legendre_raw_system() -> System:
     return System(LEGENDRE_RAW)
-
-
-def uniform_bound(system: System) -> float:
-    """Uniform sup-norm bound K of the system's basis functions."""
-    if system.kind == FOURIER:
-        return 1.0
-    if system.kind == CHEBYSHEV:
-        return float(np.sqrt(2.0))
-    if system.kind == LEGENDRE_PRECONDITIONED:
-        return float(4.0 * np.sqrt(np.pi))
-    raise UnboundedSystemError("raw Legendre polynomials have no uniform bound")
 
 
 # ---------------------------------------------------------------------------

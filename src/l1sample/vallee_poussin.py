@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import CoefficientExpansion
-from .systems import (
-    CHEBYSHEV,
-    FOURIER,
-    chebyshev_system,
-    fourier_system,
-)
+from .systems import CHEBYSHEV, FOURIER, fourier_system
 
 
 def dlvp_coeff(n: int, m: int, k: int) -> float:
@@ -71,11 +66,6 @@ class DlvpSpec:
     def support_radius(self) -> int:
         """Largest per-axis frequency the filter passes."""
         return self.n + self.m
-
-    @property
-    def reproduction_radius(self) -> int:
-        """Largest per-axis frequency kept with coefficient exactly 1."""
-        return self.n - self.m
 
     def coeff(self, k) -> float:
         """The product of the per-axis coefficients at k, a key of the d-torus."""
@@ -134,9 +124,7 @@ def kernel_l1_norm(spec: DlvpSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cosine <-> exponential coefficient maps
-
-_EVEN_TOL = 1e-12  # relative mismatch of f(-n) and f(n) that unlift accepts
+# cosine -> exponential coefficient map
 
 
 def chebyshev_lift(f: CoefficientExpansion) -> CoefficientExpansion:
@@ -158,28 +146,3 @@ def chebyshev_lift(f: CoefficientExpansion) -> CoefficientExpansion:
             out[(deg,)] = half
             out[(-deg,)] = half
     return CoefficientExpansion(fourier_system(1), out)
-
-
-def chebyshev_unlift(g: CoefficientExpansion) -> CoefficientExpansion:
-    """Inverse of the lift; requires an even spectrum f(-n) == f(n), up to
-    a relative 1e-12 of the largest coefficient."""
-    if g.system.kind != FOURIER or g.system.dim != 1:
-        raise ValueError("unlift takes univariate Fourier expansions")
-    scale = max(1.0, max((abs(v) for v in g.coefficients.values()), default=0.0))
-    out = {}
-    for key, value in g.coefficients.items():
-        (k,) = key
-        if k < 0:
-            continue
-        if k == 0:
-            out[0] = value
-            continue
-        mirror = g.coefficients.get((-k,), 0j)
-        if abs(mirror - value) > _EVEN_TOL * scale:
-            raise ValueError("spectrum is not even; no Chebyshev preimage")
-        out[k] = value * np.sqrt(2.0)
-    for key in g.coefficients:
-        (k,) = key
-        if k < 0 and (-k,) not in g.coefficients:
-            raise ValueError("spectrum is not even; no Chebyshev preimage")
-    return CoefficientExpansion(chebyshev_system(), out)

@@ -7,12 +7,7 @@ import pytest
 
 from l1sample import estimator
 from l1sample.classes import _EVAL_CHUNK, CoefficientExpansion, evaluate_function
-from l1sample.estimator import (
-    FunctionRecovery,
-    NotFittedError,
-    check_sample_points,
-    check_sample_values,
-)
+from l1sample.estimator import FunctionRecovery, NotFittedError, check_sample_values
 from l1sample.systems import chebyshev_system, fourier_system, legendre_raw_system
 
 
@@ -24,19 +19,6 @@ def fourier_training_data(N=7):
 
 # ---------------------------------------------------------------------------
 # input validation helpers
-
-
-def test_check_sample_points_shapes():
-    four = fourier_system(2)
-    pts = check_sample_points([[0.1, 0.2], [0.3, 0.4]], four)
-    assert pts.shape == (2, 2)
-    cheb = chebyshev_system()
-    pts = check_sample_points([0.0, 0.5, -0.5], cheb)
-    assert pts.shape == (3,)
-    with pytest.raises(ValueError):
-        check_sample_points([], cheb)
-    with pytest.raises(ValueError):
-        check_sample_points([0.0, np.nan], cheb)
 
 
 def test_check_sample_values():
@@ -206,6 +188,20 @@ def test_fit_rejects_bad_input():
     for X, values in bad:
         with pytest.raises(ValueError):
             est.fit(X, values)
+
+
+def test_predict_and_transform_check_their_points():
+    f = CoefficientExpansion(fourier_system(2), {(0, 1): 1.0})
+    pts = np.stack(np.meshgrid(np.arange(4) / 4, np.arange(4) / 4), axis=-1).reshape(-1, 2)
+    est = FunctionRecovery(system="fourier", dim=2, M=1, eta=0.0).fit(pts, evaluate_function(f, pts))
+    X = [[0.1, 0.2], [0.3, 0.4]]
+    assert est.predict(X).shape == (2,)
+    assert est.transform(X).shape == (2, len(est.index_set_))
+    for bad in ([], [[0.1, np.nan]], [[0.1, 0.2, 0.3]]):
+        with pytest.raises(ValueError):
+            est.predict(bad)
+        with pytest.raises(ValueError):
+            est.transform(bad)
 
 
 def test_chebyshev_path():

@@ -13,7 +13,6 @@ from l1sample.classes import (
     class_norm,
     evaluate_function,
     poly_wiener,
-    quadrature_l2_norm,
     random_unit_function,
     wiener_mixed,
 )
@@ -29,7 +28,6 @@ from l1sample.recovery import (
     choose_eta,
     default_regime,
     l2_error,
-    legendre_truncation,
     recover,
     regime_plan,
     sample_count,
@@ -45,6 +43,8 @@ from l1sample.systems import (
     make_index_set,
 )
 from l1sample.vallee_poussin import DlvpSpec
+
+from util import quadrature_l2_norm
 
 
 def grid_config(M=1, n=2, **kw):
@@ -516,11 +516,6 @@ def test_l2_error_rejects_unrelated_systems():
 # Legendre truncation
 
 
-def test_truncation_identity_below_cutoff():
-    f = CoefficientExpansion(legendre_raw_system(), {0: 1.0, 4: 2.0})
-    assert legendre_truncation(f, 4).coefficients == f.coefficients
-
-
 def test_truncation_tail_inequality():
     # a unit spike just above the cut-off: its l2 tail is 1, and the class
     # tail bound (1+M)^{-r} times the norm (2+M) is >= 1
@@ -528,16 +523,7 @@ def test_truncation_tail_inequality():
     f = CoefficientExpansion(legendre_raw_system(), {M + 1: 1.0})
     klass = poly_wiener(0.0, 1.0, 1.0)
     assert abs(class_norm(klass, f) - (2.0 + M)) < 1e-12
-    kept = legendre_truncation(f, M)
+    kept = CoefficientExpansion(f.system, {k: v for k, v in f.coefficients.items() if k <= M})
     assert kept.coefficients == {}
     tail = l2_error(f, kept)
     assert tail <= (1.0 + M) ** -1.0 * class_norm(klass, f) + 1e-12
-
-
-def test_truncation_validation():
-    f = CoefficientExpansion(legendre_raw_system(), {0: 1.0})
-    with pytest.raises(ValueError):
-        legendre_truncation(f, -1)
-    four = CoefficientExpansion(fourier_system(1), {(0,): 1.0})
-    with pytest.raises(ValueError):
-        legendre_truncation(four, 3)

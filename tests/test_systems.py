@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from l1sample import (
     SamplePlan,
     System,
-    UnboundedSystemError,
     basis_matrix,
     chebyshev_system,
     draw_points,
@@ -17,7 +16,6 @@ from l1sample import (
     legendre_preconditioned_system,
     legendre_raw_system,
     make_index_set,
-    uniform_bound,
 )
 
 from l1sample import systems
@@ -40,14 +38,6 @@ def test_system_validation():
     with pytest.raises(ValueError):
         System("chebyshev", 2)
     assert fourier_system(3).dim == 3
-
-
-def test_uniform_bounds():
-    assert uniform_bound(fourier_system(4)) == 1.0
-    assert uniform_bound(chebyshev_system()) == SQRT2
-    assert uniform_bound(legendre_preconditioned_system()) == 4.0 * np.sqrt(np.pi)
-    with pytest.raises(UnboundedSystemError):
-        uniform_bound(legendre_raw_system())
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from l1sample.vallee_poussin import (
     DlvpSpec,
     apply_quasi_projection,
     chebyshev_lift,
-    chebyshev_unlift,
     dlvp_coeff,
     kernel_l1_norm,
     kernel_values,
@@ -92,7 +91,6 @@ def test_tensor_spec_parameters():
     spec = DlvpSpec.tensor(3, 8)
     assert (spec.n, spec.m, spec.d) == (32, 24, 3)
     assert spec.support_radius == 56
-    assert spec.reproduction_radius == 8
     uni = DlvpSpec.univariate(4, 2)
     assert (uni.n, uni.m, uni.d) == (4, 2, 1)
 
@@ -232,11 +230,12 @@ def test_lift_preserves_l2_norm_and_round_trips():
     fro = sum(abs(v) ** 2 for v in f.coefficients.values())
     lifted = sum(abs(v) ** 2 for v in g.coefficients.values())
     assert abs(fro - lifted) < 1e-14
-    back = chebyshev_unlift(g)
-    assert back.system == f.system
-    assert set(back.coefficients) == set(f.coefficients)
-    for key, value in f.coefficients.items():
-        assert abs(back.coefficients[key] - value) < 1e-14
+    # degree n maps to the frequencies +-n with beta_n / sqrt(2), and 0 to 0,
+    # so the lift is read back term by term
+    assert set(g.coefficients) == {(0,)} | {(s * n,) for n in (1, 3, 7) for s in (1, -1)}
+    assert g.coefficients[(0,)] == f.coefficients[0]
+    for n in (1, 3, 7):
+        assert g.coefficients[(n,)] == g.coefficients[(-n,)] == f.coefficients[n] / np.sqrt(2.0)
 
 
 def test_lift_matches_change_of_variables():
@@ -253,19 +252,6 @@ def test_lift_matches_change_of_variables():
     assert np.abs(cheb_vals - four_vals).max() < 1e-12
 
 
-def test_unlift_rejects_uneven_spectra():
-    g = CoefficientExpansion(fourier_system(1), {(1,): 1.0, (-1,): 0.5})
-    with pytest.raises(ValueError):
-        chebyshev_unlift(g)
-    missing = CoefficientExpansion(fourier_system(1), {(-2,): 1.0})
-    with pytest.raises(ValueError):
-        chebyshev_unlift(missing)
-
-
-def test_lift_and_unlift_reject_wrong_systems():
+def test_lift_rejects_wrong_systems():
     with pytest.raises(ValueError):
         chebyshev_lift(CoefficientExpansion(fourier_system(1), {(0,): 1.0}))
-    with pytest.raises(ValueError):
-        chebyshev_unlift(CoefficientExpansion(chebyshev_system(), {0: 1.0}))
-    with pytest.raises(ValueError):
-        chebyshev_unlift(CoefficientExpansion(fourier_system(2), {(0, 0): 1.0}))

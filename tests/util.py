@@ -7,6 +7,10 @@ closed forms) so that failures point at the library, not at the test helper.
 from itertools import combinations
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+
+from l1sample.classes import evaluate_function
+from l1sample.systems import FOURIER, LEGENDRE_RAW
 
 
 # ---------------------------------------------------------------------------
@@ -38,21 +42,6 @@ def brute_best_n_term_l2(values, n_terms: int) -> float:
         rest = sq.sum() - sq[list(keep)].sum()
         best = min(best, rest)
     return float(np.sqrt(max(best, 0.0)))
-
-
-def brute_best_n_term_weighted(weights, values, n_terms: int, q: float) -> float:
-    """min over |S| <= n of the weighted lq norm of the entries outside S."""
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    a = np.abs(np.asarray(values, dtype=np.complex128).reshape(-1))
-    wa = (w * a) ** q
-    n = a.size
-    if n_terms >= n:
-        return 0.0
-    best = np.inf
-    for keep in combinations(range(n), n_terms):
-        rest = wa.sum() - wa[list(keep)].sum()
-        best = min(best, rest)
-    return float(max(best, 0.0) ** (1.0 / q))
 
 
 # ---------------------------------------------------------------------------
@@ -128,3 +117,37 @@ def reference_dlvp_coeff(n: int, m: int, k: int) -> float:
     if a <= n + m:
         return (n + m + 1 - a) / (2 * m + 1)
     return 0.0
+
+
+# ---------------------------------------------------------------------------
+# quadrature norms (cross-checks for Parseval identities)
+
+
+def quadrature_l2_norm(f) -> float:
+    """L2 norm of the expansion in the system's orthogonality measure,
+    computed by quadrature rather than through Parseval: for order n (the
+    largest absolute frequency component or degree), 2n + 1 nodes per torus
+    axis, 2n + 8 Gauss nodes for ``legendre_raw`` and 4n + 64 for the
+    arcsine-measure systems."""
+    kind = f.system.kind
+    order = int(np.abs(f.support_array()).max()) if f.coefficients else 0
+    if kind == FOURIER:
+        nodes = 2 * order + 1
+        axes = [np.arange(nodes) / nodes] * f.system.dim
+        grid = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack(grid, axis=-1).reshape(-1, f.system.dim)
+        vals = evaluate_function(f, pts)
+        return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+    if kind == LEGENDRE_RAW:
+        nodes = 2 * order + 8
+        x, w = leggauss(nodes)
+        vals = evaluate_function(f, x)
+        return float(np.sqrt(np.sum(w * np.abs(vals) ** 2)))
+    # arcsine-measure systems: substitute x = cos(pi*theta); the pushforward
+    # of the uniform theta-measure is exactly the arcsine measure
+    nodes = 4 * order + 64
+    t, w = leggauss(nodes)
+    theta = 0.5 * (t + 1.0)
+    x = np.cos(np.pi * theta)
+    vals = evaluate_function(f, x)
+    return float(np.sqrt(np.sum(0.5 * w * np.abs(vals) ** 2)))
