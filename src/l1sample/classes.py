@@ -21,7 +21,6 @@ import numpy as np
 
 from .systems import (
     FOURIER,
-    IndexSet,
     System,
     _fourier_synthesis,
     _index_array,
@@ -115,9 +114,9 @@ def _weights(klass: FunctionClass, idx: np.ndarray) -> np.ndarray:
 class CoefficientExpansion:
     """A finite complex expansion sum_k c_k b_k over one system.
 
-    Every index given to it, as a key or to ``get`` and ``vector``, is read
-    by ``System.key``: a d-tuple of ints for Fourier systems, a nonnegative
-    int degree for polynomial systems.
+    Every key given to the constructor is read by ``System.key``: a d-tuple
+    of ints for Fourier systems, a nonnegative int degree for polynomial
+    systems.
     """
 
     def __init__(self, system: System, coefficients: Mapping):
@@ -145,9 +144,6 @@ class CoefficientExpansion:
     def support(self) -> list:
         return sorted(self.coefficients.keys())
 
-    def get(self, index) -> complex:
-        return self.coefficients.get(self.system.key(index), 0j)
-
     def support_array(self) -> np.ndarray:
         keys = self.support()
         if self.system.kind == FOURIER and not keys:
@@ -156,12 +152,6 @@ class CoefficientExpansion:
 
     def values_array(self) -> np.ndarray:
         return np.asarray([v for _, v in self.items()], dtype=np.complex128)
-
-    def vector(self, indices) -> np.ndarray:
-        """Coefficients aligned to a given index order (zeros where absent)."""
-        if isinstance(indices, IndexSet):
-            indices = indices.indices()
-        return np.asarray([self.get(k) for k in indices], dtype=np.complex128)
 
     def scaled(self, factor: complex) -> "CoefficientExpansion":
         return CoefficientExpansion(

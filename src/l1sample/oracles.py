@@ -13,15 +13,11 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .classes import CoefficientExpansion
-
 POWER = "power"
 GEOMETRIC = "geometric"
 
 
 def _moduli(x) -> np.ndarray:
-    if isinstance(x, CoefficientExpansion):
-        return np.abs(x.values_array())
     return np.abs(np.asarray(x, dtype=np.complex128).reshape(-1))
 
 

@@ -50,7 +50,7 @@ from .systems import (
     legendre_raw_system,
     make_index_set,
 )
-from .vallee_poussin import DlvpSpec, chebyshev_lift
+from .vallee_poussin import DlvpSpec
 
 FOURIER3 = "fourier3"
 FOURIER_GRID = "fourier_grid"
@@ -249,8 +249,9 @@ def recover(
     ``f_samples`` are values of the target function at ``points``.  For the
     Legendre regime these are values of the raw function; the preconditioning
     weight is applied internally and the returned expansion is over the
-    orthonormal Legendre family.  When the true expansion is passed, the
-    result carries the l2 coefficient error.
+    orthonormal Legendre family.  When the true expansion is passed, over
+    the system of the returned expansion, the result carries the l2
+    coefficient error.
     """
     y = np.asarray(f_samples).reshape(-1)
     pts = _point_array(config.system, points)
@@ -303,34 +304,18 @@ def recover(
 # coefficient-space error
 
 
-def _as_comparable(f: CoefficientExpansion, g: CoefficientExpansion):
-    if f.system == g.system:
-        return f, g
-    kinds = {f.system.kind, g.system.kind}
-    if kinds <= _LEGENDRE_KINDS:
-        # b_n = w L_n maps coefficients one-to-one and preserves l2 norms
-        return f, g
-    if kinds == {CHEBYSHEV, FOURIER}:
-        fa = chebyshev_lift(f) if f.system.kind == CHEBYSHEV else f
-        ga = chebyshev_lift(g) if g.system.kind == CHEBYSHEV else g
-        if fa.system != ga.system:
-            raise ValueError("cannot compare expansions over these systems")
-        return fa, ga
-    raise ValueError("cannot compare expansions over these systems")
-
-
 def l2_error(f: CoefficientExpansion, g: CoefficientExpansion) -> float:
-    """l2 distance of two coefficient expansions over compatible systems.
+    """l2 distance of two coefficient expansions over one system.
 
-    Equal systems compare directly; the two Legendre families share
-    coefficients; a Chebyshev expansion is compared against a univariate
-    Fourier one through the cosine-to-exponential rewrite.  Anything else
-    raises.
+    Expansions over different systems raise, the two Legendre families
+    included: ``recover()`` returns Legendre coefficients over the raw
+    family, the one a Legendre class expands in.
     """
-    fa, ga = _as_comparable(f, g)
-    keys = set(fa.coefficients) | set(ga.coefficients)
+    if f.system != g.system:
+        raise ValueError("cannot compare expansions over these systems")
+    keys = set(f.coefficients) | set(g.coefficients)
     total = 0.0
     for key in keys:
-        diff = fa.coefficients.get(key, 0j) - ga.coefficients.get(key, 0j)
+        diff = f.coefficients.get(key, 0j) - g.coefficients.get(key, 0j)
         total += abs(diff) ** 2
     return float(np.sqrt(total))

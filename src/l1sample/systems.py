@@ -110,9 +110,8 @@ def _integral(arr: np.ndarray) -> bool:
 @dataclass(frozen=True)
 class IndexSet:
     """One of the two search sets: a ``box`` (the max-norm ball of radius M
-    in Z^d) or the ``degrees`` 0..M.  Membership reads an index as
-    ``System.key`` of the d-torus or of a polynomial system does; an index
-    it rejects is not a member.  Other index lists are plain sequences."""
+    in Z^d) or the ``degrees`` 0..M.  Its indices are read by position
+    (``at``, ``indices``); other index lists are plain sequences."""
 
     kind: str
     d: int = 1
@@ -129,16 +128,6 @@ class IndexSet:
         if self.kind == BOX:
             return (2 * self.half_width + 1) ** self.d
         return self.M + 1
-
-    def __contains__(self, index) -> bool:
-        system = fourier_system(self.d) if self.kind == BOX else chebyshev_system()
-        try:
-            key = system.key(index)
-        except ValueError:
-            return False
-        if self.kind == BOX:
-            return max(abs(k) for k in key) <= self.half_width
-        return key <= self.M
 
     def indices(self) -> np.ndarray:
         """All indices as an array: shape (N, d) for boxes, (N,) for degrees."""
@@ -158,14 +147,14 @@ def make_index_set(kind: str, d: int = 1, M: int = 1) -> IndexSet:
     """Build one of the standard index families.
 
     ``box``: {k in Z^d : |k|_inf <= M}, cardinality (2M+1)^d.
-    ``degrees``: {0, ..., M}.
+    ``degrees``: {0, ..., M}, univariate like the polynomial systems.
     """
     if kind not in (BOX, DEGREES):
         raise ValueError(f"unknown index-set kind: {kind!r}")
     if d < 1 or M < 1:
         raise ValueError("index sets need d >= 1 and M >= 1")
-    if kind == DEGREES:
-        return IndexSet(DEGREES, 1, M)
+    if kind == DEGREES and d != 1:
+        raise ValueError("degree ranges are univariate: d must be 1")
     return IndexSet(kind, d, M)
 
 

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l1sample import (
-    CoefficientExpansion,
     DiagonalSpec,
     best_n_term_l2,
-    fourier_system,
     geometric_decay,
     pietsch_diag_an,
     power_decay,
@@ -51,10 +49,6 @@ def test_best_term_frozen_values():
     assert best_n_term_l2((3.0, 2.0, 1.0), 1) == np.sqrt(5.0)
     assert sigma_s_l1((3.0, 2.0, 1.0), 1) == 3.0
     assert sigma_s_l1((1.0, 1.0, 1.0), 5) == 0.0
-    # an expansion is read by the moduli of its coefficients
-    f = CoefficientExpansion(fourier_system(1), {(0,): 2.0, (1,): -1j, (5,): 3.0})
-    assert best_n_term_l2(f, 1) == np.sqrt(5.0)
-    assert sigma_s_l1(f, 1) == 3.0
     with pytest.raises(ValueError):
         sigma_s_l1((1.0,), -1)
     with pytest.raises(ValueError):

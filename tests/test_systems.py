@@ -52,20 +52,19 @@ def test_box_cardinalities():
 def test_degrees_and_membership():
     J = make_index_set("degrees", M=5)
     assert len(J) == 6
-    assert 5 in J and 0 in J
-    assert 6 not in J and -1 not in J
+    assert J.at([0, 5]).tolist() == [0, 5]
     B = make_index_set("box", d=2, M=2)
-    assert (2, -2) in B
-    assert (3, 0) not in B
-    assert (1,) not in B  # wrong dimension
-    # membership reads an index as System.key does: an int is a d = 1 box
-    # key, a 1-tuple a degree, an integral float its integer; an index the
-    # rule rejects is not a member
-    assert 3 in make_index_set("box", d=1, M=3)
-    assert (3,) in J and np.int64(3) in J
-    assert (2.0, 2) in B
-    for index in ((1.5, 0), 2.5, "x", (np.nan, 0)):
-        assert index not in B and index not in J
+    assert len(B) == 25
+    assert B.at([0, 24]).tolist() == [[-2, -2], [2, 2]]
+
+
+def test_degree_ranges_are_univariate():
+    # a degree range is the search set of a polynomial system, which is
+    # univariate, so d != 1 raises as it does for System
+    assert make_index_set("degrees", d=1, M=3) == make_index_set("degrees", M=3)
+    for d in (2, 3):
+        with pytest.raises(ValueError, match="univariate"):
+            make_index_set("degrees", d=d, M=3)
 
 
 def test_indices_shapes_and_tuples():
