@@ -29,6 +29,7 @@ import numpy as np
 from .classes import FunctionClass
 from .harness import (
     ExperimentConfig,
+    RateReport,
     _rate_trial,
     _recovery_config,
     _trial_seeds,
@@ -185,6 +186,13 @@ def _write_text(text: str, path: Optional[str]) -> None:
             handle.write(text)
 
 
+def _write_report(report: RateReport, opts: dict) -> int:
+    """Write a sweep's report; the exit code is 2 under ``--strict`` when any
+    trial is uncertified, else 0."""
+    _write_text(report_text(report, opts["format"]), opts["output"])
+    return 2 if opts["strict"] and report.uncertified_trials else 0
+
+
 def _experiment_config(opts: dict, n_values, **fields) -> ExperimentConfig:
     return ExperimentConfig(
         klass=FunctionClass(opts["class_kind"], opts["r"], d=opts["d"], p=opts["p"],
@@ -214,15 +222,11 @@ def _cmd_recover(opts: dict) -> int:
 def _cmd_rates(opts: dict) -> int:
     config = _experiment_config(opts, tuple(opts["n_values"]), trials_per_n=opts["trials"],
                                 sparsity=opts["sparsity_mode"])
-    report = run_rate_experiment(config)
-    _write_text(report_text(report, opts["format"]), opts["output"])
-    if opts["strict"] and report.uncertified_trials:
-        return 2
-    return 0
+    return _write_report(run_rate_experiment(config), opts)
 
 
 def _cmd_phase(opts: dict) -> int:
-    report = run_phase_experiment(
+    return _write_report(run_phase_experiment(
         fourier_system(opts["d"]),
         N=opts["N"],
         s=opts["s"],
@@ -230,11 +234,7 @@ def _cmd_phase(opts: dict) -> int:
         trials=opts["trials"],
         seed=opts["seed"],
         step_ratio=opts["step_ratio"],
-    )
-    _write_text(report_text(report, opts["format"]), opts["output"])
-    if opts["strict"] and report.uncertified_trials:
-        return 2
-    return 0
+    ), opts)
 
 
 def _cmd_oracle(opts: dict) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -138,6 +138,10 @@ def fit_slope(n_values: Sequence[float], errors: Sequence[float]) -> Optional[fl
 
 @dataclass(frozen=True)
 class RateRow:
+    """One row of a report.  Its fields, in order, are the report's columns
+    in CSV and JSON: ints are written as they are, floats through
+    ``_csv_float`` in CSV and ``_float_or_none`` in JSON."""
+
     n: int
     m: int
     median_error: float
@@ -145,15 +149,14 @@ class RateRow:
     q75: float
     success_fraction: float
 
+    def _cells(self, write_float: Callable[[float], object]) -> dict:
+        """Column name -> value, each float column written by ``write_float``
+        (the annotations are strings: the module imports ``annotations``)."""
+        return {f.name: write_float(getattr(self, f.name)) if f.type == "float"
+                else getattr(self, f.name) for f in fields(self)}
+
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "median_error": _float_or_none(self.median_error),
-            "q25": _float_or_none(self.q25),
-            "q75": _float_or_none(self.q75),
-            "success_fraction": self.success_fraction,
-        }
+        return self._cells(_float_or_none)
 
 
 def _float_or_none(x: float) -> Optional[float]:
@@ -371,7 +374,8 @@ def run_phase_experiment(
 # ---------------------------------------------------------------------------
 # serialization
 
-CSV_HEADER = "n,m,median_error,q25,q75,success_fraction"
+# the CSV header: RateRow's columns
+CSV_HEADER = ",".join(f.name for f in fields(RateRow))
 
 
 def _csv_float(x: float) -> str:
@@ -390,15 +394,7 @@ def report_text(report: RateReport, fmt: str) -> str:
     """A report as CSV (fixed header, 17 significant digits) or JSON text."""
     kind = check_report_format(fmt)
     if kind == "csv":
-        lines = [CSV_HEADER]
-        for row in report.rows:
-            lines.append(",".join([
-                str(row.n),
-                str(row.m),
-                _csv_float(row.median_error),
-                _csv_float(row.q25),
-                _csv_float(row.q75),
-                _csv_float(row.success_fraction),
-            ]))
+        lines = [CSV_HEADER] + [",".join(map(str, row._cells(_csv_float).values()))
+                                for row in report.rows]
         return "\n".join(lines) + "\n"
     return json.dumps(report.to_json(), indent=2) + "\n"

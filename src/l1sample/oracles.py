@@ -9,7 +9,7 @@ between weighted l2 spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -17,13 +17,10 @@ POWER = "power"
 GEOMETRIC = "geometric"
 
 
-def _moduli(x) -> np.ndarray:
-    return np.abs(np.asarray(x, dtype=np.complex128).reshape(-1))
-
-
-def _largest_first(values: np.ndarray) -> np.ndarray:
-    """Indices ordering values descending, ties broken by lower index."""
-    return np.lexsort((np.arange(values.size), -values))
+def _tail(x, s: int) -> np.ndarray:
+    """The moduli of x past its s largest, ties broken by lower index."""
+    a = np.abs(np.asarray(x, dtype=np.complex128).reshape(-1))
+    return a[np.lexsort((np.arange(a.size), -a))[s:]]
 
 
 def sigma_s_l1(x, s: int) -> float:
@@ -31,22 +28,14 @@ def sigma_s_l1(x, s: int) -> float:
     s largest moduli."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    a = _moduli(x)
-    if s >= a.size:
-        return 0.0
-    order = _largest_first(a)
-    return float(a[order[s:]].sum())
+    return float(_tail(x, s).sum())
 
 
 def best_n_term_l2(x, n: int) -> float:
     """l2 error of the best n-term approximation."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = _moduli(x)
-    if n >= a.size:
-        return 0.0
-    order = _largest_first(a)
-    return float(np.sqrt((a[order[n:]] ** 2).sum()))
+    return float(np.sqrt((_tail(x, n) ** 2).sum()))
 
 
 def stechkin_bound(p: float, n: int, quasi_norm: float = 1.0) -> float:
@@ -95,36 +84,25 @@ def geometric_decay(ratio: float) -> DiagonalSpec:
     return DiagonalSpec(GEOMETRIC, float(ratio))
 
 
-def pietsch_diag_an(
-    diag: Union[DiagonalSpec, np.ndarray],
-    n: int,
-    h_max: int = 10_000,
-) -> Tuple[float, bool]:
+def pietsch_diag_an(diag: DiagonalSpec, n: int, h_max: int = 10_000) -> Tuple[float, bool]:
     """n-th approximation number of the diagonal operator gamma between a
     weighted l2 space and l2:
 
         a_n = sup_{h >= n} sqrt((h - n + 1) / sum_{j <= h} gamma_j^(-2)).
 
-    The supremum is searched over h in [n, h_max].  The second return value
-    flags whether the maximum sat at the cutoff h_max, in which case the
-    search range was too small to certify the supremum.
+    The diagonal is given as a ``DiagonalSpec``, and the supremum is searched
+    over h in [n, h_max].  The second return value flags whether the maximum
+    sat at the cutoff h_max, in which case the search range was too small to
+    certify the supremum.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(diag, DiagonalSpec):
-        gamma = diag.values(h_max)
-        # fast geometric decay underflows to exact zero; the supremum can
-        # never sit that far out, so the search range is safely truncated
-        nonpos = np.nonzero(gamma <= 0.0)[0]
-        if nonpos.size:
-            gamma = gamma[: nonpos[0]]
-    else:
-        gamma = np.asarray(diag, dtype=float).reshape(-1)
-        h_max = gamma.size
-        if not np.isfinite(gamma).all():
-            raise ValueError("diagonal values must be finite")
-        if np.any(gamma <= 0):
-            raise ValueError("diagonal values must be positive")
+    gamma = diag.values(h_max)
+    # fast geometric decay underflows to exact zero; the supremum can never
+    # sit that far out, so the search range is safely truncated
+    nonpos = np.nonzero(gamma <= 0.0)[0]
+    if nonpos.size:
+        gamma = gamma[: nonpos[0]]
     if gamma.size < n:
         raise ValueError("need at least n diagonal values")
     if np.any(np.diff(gamma) > 0):

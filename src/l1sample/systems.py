@@ -58,24 +58,16 @@ class System:
 
     def key(self, index) -> Union[int, tuple]:
         """The canonical key of one index: a ``dim``-tuple of ints on the
-        torus, a nonnegative int degree otherwise.  A d = 1 Fourier key may
-        be given as an int, a degree as a 1-tuple, and a component as any
-        integral number (2.0 reads as 2); anything else raises, naming the
-        index."""
-        arr = np.asarray(index)
-        if arr.ndim > 1 or not _integral(arr):
-            raise ValueError(f"index {index!r} is not an integer or a vector of integers")
-        key = tuple(arr.astype(np.int64).tolist()) if arr.ndim else int(arr)
-        if self.kind == FOURIER:
-            key = (key,) if isinstance(key, int) else key
-            if len(key) != self.dim:
-                raise ValueError(f"index {index!r} does not have the system's dimension {self.dim}")
-            return key
-        if isinstance(key, tuple) and len(key) == 1:
-            key = key[0]
-        if not isinstance(key, int) or key < 0:
-            raise ValueError(f"index {index!r} is not a nonnegative polynomial degree")
-        return key
+        torus, a nonnegative int degree otherwise.  It is the one-row read of
+        ``_index_array``, so a key and an index array read alike: a d = 1
+        Fourier key may be an int, a degree a 1-tuple, and a component any
+        integral number int64 holds (2.0 reads as 2); anything else raises,
+        naming the index."""
+        try:
+            row = _index_array(self, [index])[0].tolist()
+        except ValueError as err:
+            raise ValueError(f"index {index!r}: {err}") from None
+        return tuple(row) if self.kind == FOURIER else row
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}
@@ -102,8 +94,10 @@ def legendre_raw_system() -> System:
 
 
 def _integral(arr: np.ndarray) -> bool:
-    """Whether every entry is an integer int64 holds: 2.0 is, 2.5, inf and nan are not."""
-    return arr.dtype.kind in "iu" or arr.dtype.kind == "f" and bool(
+    """Whether every entry is an integer int64 holds: 2.0 is; 2.5, inf, nan and 2**63 are not."""
+    if arr.dtype.kind == "u":
+        return bool(np.all(arr < 2**63))
+    return arr.dtype.kind == "i" or arr.dtype.kind == "f" and bool(
         np.all((np.abs(arr) < 2.0**63) & (np.trunc(arr) == arr)))
 
 
@@ -192,9 +186,10 @@ def _point_array(system: System, points) -> np.ndarray:
 
 
 def _index_array(system: System, indices) -> np.ndarray:
-    """Indices as int64, read by ``System.key``'s rule: (n, d) frequency
-    vectors on the torus, (n,) degrees otherwise, which may also come as an
-    (n, 1) array of 1-tuples.  A non-integral entry raises."""
+    """Indices as int64: (n, d) frequency vectors on the torus, (n,) degrees
+    otherwise, which may also come as an (n, 1) array of 1-tuples.  The one
+    reading rule: ``System.key`` reads a single index as a one-row array
+    here.  An entry that is not an integer int64 holds raises."""
     arr = indices.indices() if isinstance(indices, IndexSet) else np.asarray(indices)
     if not _integral(arr):
         raise ValueError("indices must be integers")
@@ -206,7 +201,7 @@ def _index_array(system: System, indices) -> np.ndarray:
     arr = np.atleast_1d(arr)
     if arr.ndim != 1:
         raise ValueError("polynomial systems use scalar degree indices")
-    if np.any(arr < 0):
+    if arr.min(initial=0) < 0:
         raise ValueError("polynomial degrees must be nonnegative")
     return arr
 

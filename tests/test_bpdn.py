@@ -205,6 +205,12 @@ def test_non_finite_iterates_stop_at_the_next_check():
     assert not np.isfinite(sol.residual_norm + sol.gap)
 
 
+def test_zero_matrix_with_y_outside_the_radius_raises():
+    prob = BpdnProblem(np.zeros((3, 4)), np.array([1.0, 0.0, 0.0]), eta=0.1)
+    with pytest.raises(ValueError, match="numerically zero"):
+        solve_bpdn_batch([prob])
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -218,6 +224,14 @@ def test_oracle_identity_anchor_exact():
     assert sol.iterations == 0
     assert sol.gap == 0.0
     assert abs(sol.residual_norm - 1.0) < 1e-12
+
+
+def test_oracle_zero_solution_inside_the_radius():
+    y = np.array([0.1, 0.2])
+    sol = bpdn_orthonormal_oracle(BpdnProblem(2.0 * np.eye(2), y, eta=1.0))
+    assert sol.z.tolist() == [0.0, 0.0]
+    assert sol.certified and sol.objective == 0.0
+    assert sol.residual_norm == np.linalg.norm(y)
 
 
 def test_oracle_rejects_non_orthogonal_columns():

@@ -128,6 +128,22 @@ def test_expansion_key_handling():
     assert [idx for idx, _, _ in obj["entries"]] == [[0], [4]]
 
 
+def test_expansion_rejects_keys_int64_cannot_hold_and_duplicates():
+    with pytest.raises(ValueError, match=str(2**63)):
+        CoefficientExpansion(fourier_system(1), {2**63: 1.0})
+    # 3 and (3,) are one degree
+    with pytest.raises(ValueError, match="duplicate index 3"):
+        CoefficientExpansion(chebyshev_system(), {3: 1.0, (3,): 2.0})
+
+
+def test_empty_expansion():
+    for system, klass, shape in ((chebyshev_system(), poly_wiener(-0.5, 1.0, 1.0), (0,)),
+                                 (fourier_system(2), wiener_mixed(1.0, 2), (0, 2))):
+        f = CoefficientExpansion(system, {})
+        assert f.support_array().shape == shape
+        assert class_norm(klass, f) == 0.0
+
+
 def test_expansion_norms_and_scaling():
     f = CoefficientExpansion(chebyshev_system(), {0: 3.0, 1: 4.0})
     klass = poly_wiener(-0.5, 1.0, 1.0)
@@ -181,6 +197,15 @@ def test_random_unit_function_is_unit_norm():
         f = random_unit_function(klass, J, sparsity=5, seed=7)
         assert len(f) == 5
         assert abs(class_norm(klass, f) - 1.0) < 1e-12
+
+
+def test_random_unit_function_validation():
+    klass = wiener_mixed(1.0, 1)
+    with pytest.raises(ValueError, match="non-empty"):
+        random_unit_function(klass, [])
+    for sparsity in (0, 8):
+        with pytest.raises(ValueError, match="sparsity"):
+            random_unit_function(klass, make_index_set("box", 1, 3), sparsity=sparsity)
 
 
 def test_random_unit_function_real_for_polynomials():

@@ -145,6 +145,21 @@ def test_without_strict_uncertified_still_exits_0(capsys):
     assert json.loads(out)["certified"] is False
 
 
+@pytest.mark.parametrize("uncertified, strict, expected", [
+    (0, False, 0), (0, True, 0), (2, False, 0), (2, True, 2), (None, True, 0)])
+def test_report_exit_of_rates_and_phase(tmp_path, capsys, uncertified, strict, expected):
+    # both sweep subcommands write their report, then exit 2 under --strict
+    # when a trial is uncertified; no solve runs here
+    report = harness.RateReport(rows=(harness.RateRow(4, 10, 0.5, 0.25, 0.75, 0.5),),
+                                uncertified_trials=uncertified)
+    target = tmp_path / "report.json"
+    opts = {"format": "json", "output": str(target), "strict": strict}
+    assert cli._write_report(report, opts) == expected
+    assert target.read_text() == harness.report_text(report, "json")
+    assert cli._write_report(report, {**opts, "format": "csv", "output": None}) == expected
+    assert capsys.readouterr().out == harness.report_text(report, "csv")
+
+
 # ---------------------------------------------------------------------------
 # INI config merging
 

@@ -1,5 +1,6 @@
 """Tests for the experiment driver: rules, exponents, fits, and reports."""
 
+import dataclasses
 import json
 import math
 
@@ -272,6 +273,27 @@ def test_report_text_csv_format():
     assert float(fields[2]) == 1.0 / 3.0
 
 
+def test_report_columns_are_the_row_fields():
+    assert CSV_HEADER == ",".join(f.name for f in dataclasses.fields(RateRow))
+    row = RateRow(4, 10, 0.1, float("nan"), 0.3, 0.5)
+    assert report_text(RateReport(rows=(row,)), "csv").splitlines()[1] == (
+        "4,10,0.10000000000000001,nan,0.29999999999999999,0.5")
+    assert row.to_json() == {"n": 4, "m": 10, "median_error": 0.1, "q25": None, "q75": 0.3,
+                             "success_fraction": 0.5}
+
+
+def test_a_row_in_which_no_trial_certifies():
+    # quantiles over no certified error are NaN, and no trial succeeds
+    rows, uncertified = harness._run_rows(
+        0, 3, [(4, 10, lambda seeds: [None] * len(seeds)),
+               (8, 20, lambda seeds: [1e-6, None, 1.0])], PHASE_SUCCESS_THRESHOLD)
+    assert uncertified == 4
+    assert math.isnan(rows[0].median_error) and math.isnan(rows[0].q25)
+    assert math.isnan(rows[0].q75) and rows[0].success_fraction == 0.0
+    assert rows[1].median_error == pytest.approx(0.5 + 5e-7)
+    assert rows[1].success_fraction == pytest.approx(1 / 3)
+
+
 def test_report_text_empty_and_json():
     assert report_text(RateReport(rows=()), "csv") == CSV_HEADER + "\n"
     report = RateReport(rows=(RateRow(4, 10, 0.5, 0.4, 0.6, 1.0),), fitted_slope=-1.0)
@@ -296,6 +318,8 @@ def test_experiment_config_validation():
         ExperimentConfig(klass=klass, n_values=(4,), trials_per_n=0)
     with pytest.raises(ValueError):
         ExperimentConfig(klass=klass, n_values=(4,), sparsity="middle")
+    with pytest.raises(ValueError, match=">= 1"):
+        ExperimentConfig(klass=klass, n_values=(0,))
 
 
 def test_rate_experiment_smoke_and_reproducibility():

@@ -65,6 +65,8 @@ def test_degree_ranges_are_univariate():
     for d in (2, 3):
         with pytest.raises(ValueError, match="univariate"):
             make_index_set("degrees", d=d, M=3)
+    with pytest.raises(ValueError, match="half_width is undefined"):
+        make_index_set("degrees", M=3).half_width
 
 
 def test_indices_shapes_and_tuples():
@@ -206,6 +208,38 @@ def test_index_arrays_are_read_by_the_key_rule():
                           basis_matrix(chebyshev_system(), [3, 0], t))
 
 
+def test_a_key_is_the_one_row_read_of_an_index_array():
+    # System.key reads an index as a one-row index array, so a key and an
+    # array read alike, shapes included
+    for system, index in ((fourier_system(1), 3), (fourier_system(1), (3.0,)),
+                          (fourier_system(2), np.array([1, -2])), (chebyshev_system(), (4,)),
+                          (chebyshev_system(), np.uint8(4))):
+        row = systems._index_array(system, [index])[0].tolist()
+        assert system.key(index) == (tuple(row) if system.kind == "fourier" else row)
+    for system, index in ((fourier_system(2), [[1, 2]]), (fourier_system(1), (1, 2)),
+                          (chebyshev_system(), [[4]]), (chebyshev_system(), ())):
+        with pytest.raises(ValueError):
+            system.key(index)
+
+
+def test_indices_int64_cannot_hold_raise():
+    # 2**63 arrives as uint64; neither reader wraps it round to -2**63
+    big = 2**63
+    with pytest.raises(ValueError, match=str(big)):
+        fourier_system(1).key(big)
+    for system in (fourier_system(1), chebyshev_system()):
+        with pytest.raises(ValueError, match="integers"):
+            systems._index_array(system, np.array([big], dtype=np.uint64))
+    with pytest.raises(ValueError):
+        basis_matrix(fourier_system(1), [big], [0.5])
+    # unsigned entries that int64 holds read as they are
+    assert systems._index_array(fourier_system(1), np.array([big - 1, 3], dtype=np.uint64)
+                                ).tolist() == [[big - 1], [3]]
+    assert systems._index_array(chebyshev_system(), np.array([[3], [0]], dtype=np.uint8)
+                                ).tolist() == [3, 0]
+    assert fourier_system(1).key(-big) == (-big,)
+
+
 # ---------------------------------------------------------------------------
 # point sampling
 
@@ -232,6 +266,16 @@ def test_draw_points_arcsine():
     assert ks_statistic(pts, arcsine_cdf) < 0.02
     # the arcsine density piles mass near the endpoints
     assert np.mean(np.abs(pts) > 0.9) > 0.25
+
+
+def test_draw_points_validation():
+    with pytest.raises(ValueError, match="at least one sample point"):
+        draw_points(fourier_system(1), 0, SamplePlan(seed=0))
+    with pytest.raises(ValueError, match="only defined on the torus"):
+        draw_points(chebyshev_system(), 5, SamplePlan(seed=0, mode="grid", grid_size=2))
+    # polynomial systems take scalar points only
+    with pytest.raises(ValueError, match="scalar points"):
+        _point_array(chebyshev_system(), np.zeros((3, 2)))
 
 
 def test_grid_plan_lands_on_lattice():
@@ -479,6 +523,8 @@ def test_lattice_fourier_validation():
         LatticeFourier.stack([one, two])
     with pytest.raises(ValueError, match="one trial"):
         LatticeFourier.stack([one, one]) @ np.ones(3)
+    with pytest.raises(ValueError, match="only LatticeFourier"):
+        LatticeFourier.stack([one, np.ones((2, 3))])
 
 
 

@@ -162,6 +162,8 @@ def test_kernel_values_direct_sum():
         + 2.0 * (1.0 / 3.0) * np.cos(6 * np.pi * x)
     )
     assert np.abs(kernel_values(spec, x) - expected).max() < 1e-12
+    # the (0, 0) filter keeps only the constant: K = 1
+    assert kernel_values(DlvpSpec(0, 0), x).tolist() == [1.0] * 4
 
 
 @pytest.mark.parametrize("n,m", [(1, 0), (2, 1), (4, 2), (8, 4), (5, 5)])
