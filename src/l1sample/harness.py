@@ -150,10 +150,9 @@ class RateRow:
     success_fraction: float
 
     def _cells(self, write_float: Callable[[float], object]) -> dict:
-        """Column name -> value, each float column written by ``write_float``
-        (the annotations are strings: the module imports ``annotations``)."""
-        return {f.name: write_float(getattr(self, f.name)) if f.type == "float"
-                else getattr(self, f.name) for f in fields(self)}
+        """Column name -> value, each float written by ``write_float``."""
+        return {f.name: write_float(v) if isinstance(v, float) else v
+                for f in fields(self) for v in [getattr(self, f.name)]}
 
     def to_json(self) -> dict:
         return self._cells(_float_or_none)

@@ -95,6 +95,8 @@ def pietsch_diag_an(diag: DiagonalSpec, n: int, h_max: int = 10_000) -> Tuple[fl
     sat at the cutoff h_max, in which case the search range was too small to
     certify the supremum.
     """
+    if not isinstance(diag, DiagonalSpec):
+        raise TypeError("the diagonal must be a DiagonalSpec")
     if n < 1:
         raise ValueError("n must be >= 1")
     gamma = diag.values(h_max)

@@ -103,6 +103,8 @@ def test_pietsch_frozen_geometric_values():
 def test_pietsch_validation():
     with pytest.raises(ValueError):
         pietsch_diag_an(geometric_decay(0.5), 0)
+    with pytest.raises(TypeError, match="DiagonalSpec"):
+        pietsch_diag_an(np.array([1.0, 0.5]), 1)
     with pytest.raises(ValueError, match="at least n diagonal values"):
         pietsch_diag_an(power_decay(1.0), 5, h_max=3)
     with pytest.raises(ValueError):

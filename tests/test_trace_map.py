@@ -1,16 +1,24 @@
 """Tests for the line map ``tools/trace_map.py``."""
 
+import importlib.util
 import pathlib
-import subprocess
-import sys
+import runpy
 
 _TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "trace_map.py"
 
 
-def test_the_map_lists_an_unreached_line_of_a_temporary_module(tmp_path):
-    package = tmp_path / "pkg"
+def _trace_map():
+    spec = importlib.util.spec_from_file_location("trace_map", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_map_lists_an_unreached_line_of_a_temporary_module(tmp_path, capsys):
+    package = tmp_path.resolve() / "pkg"
     package.mkdir()
-    (package / "mod.py").write_text(
+    mod = package / "mod.py"
+    mod.write_text(
         '"""A docstring is no statement."""\n'
         "import math\n"
         "\n"
@@ -21,10 +29,7 @@ def test_the_map_lists_an_unreached_line_of_a_temporary_module(tmp_path):
         "    return (y +\n"
         "            1)\n"
     )
-    script = tmp_path / "run.py"
-    script.write_text(f"import sys\nsys.path.insert(0, {str(package)!r})\n"
-                      "import mod\nprint(mod.f(2.5))\n")
-    out = subprocess.run([sys.executable, str(_TOOL), "--root", str(package), str(script)],
-                         cwd=tmp_path, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["2", "pkg/mod.py:7: y = -x", "pkg/mod.py:8: return (y +"]
-    assert out.stderr == "2 statements unreached\n"
+    tool = _trace_map()
+    code, executed = tool.trace(lambda: print(runpy.run_path(str(mod))["f"](2.5)), package)
+    assert code == 0 and capsys.readouterr().out == "2\n"
+    assert tool.unreached(mod, executed[str(mod)]) == [(7, "y = -x"), (8, "return (y +")]

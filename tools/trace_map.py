@@ -2,12 +2,11 @@
 
 Runs a module or a script in this process, under ``sys.settrace`` and
 ``threading.settrace``, and records the lines executed in frames whose file
-lies under ``src/l1sample/`` (or the directory given with ``--root``).  Then
-it prints ``file:line: statement`` for every statement of those files that
-no traced frame reached.  Docstrings, ``def`` and ``class`` headers, imports
-and ``try`` headers are left out; a statement counts as reached when any line
-of it ran (for a compound statement, any line of its body too).  Run from
-the repository root:
+lies under ``src/l1sample/``.  Then it prints ``file:line: statement`` for
+every statement of those files that no traced frame reached.  Docstrings,
+``def`` and ``class`` headers, imports and ``try`` headers are left out; a
+statement counts as reached when any line of it ran (for a compound
+statement, any line of its body too).  Run from the repository root:
 
     PYTHONPATH=src python tools/trace_map.py -m pytest -q tests
     PYTHONPATH=src python tools/trace_map.py tools/dump_outputs.py
@@ -83,7 +82,7 @@ def trace(run, root: pathlib.Path) -> tuple:
             executed.setdefault(inside[name], set())
         return local if inside[name] else None
 
-    previous = sys.gettrace()
+    previous, previous_thread = sys.gettrace(), threading.gettrace()
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
@@ -93,15 +92,13 @@ def trace(run, root: pathlib.Path) -> tuple:
         code = exc.code
     finally:
         sys.settrace(previous)
-        threading.settrace(previous)
+        threading.settrace(previous_thread)
     executed.pop(None, None)
     return (0 if code is None else code if isinstance(code, int) else 1), executed
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=pathlib.Path, default=_ROOT,
-                        help="directory whose files are traced (default: src/l1sample)")
     parser.add_argument("-m", dest="module", nargs=argparse.REMAINDER,
                         help="run a module as __main__, with the arguments that follow")
     parser.add_argument("script", nargs=argparse.REMAINDER,
@@ -111,17 +108,17 @@ def main(argv=None) -> int:
         sys.argv = list(opts.module)
         sys.path[0] = os.getcwd()
         code, executed = trace(lambda: runpy.run_module(
-            opts.module[0], run_name="__main__", alter_sys=True), opts.root)
+            opts.module[0], run_name="__main__", alter_sys=True), _ROOT)
     elif opts.script:
         sys.argv = list(opts.script)
         sys.path[0] = os.path.dirname(os.path.abspath(opts.script[0]))
         code, executed = trace(lambda: runpy.run_path(opts.script[0], run_name="__main__"),
-                               opts.root)
+                               _ROOT)
     else:
         parser.error("give a script or -m MODULE")
     cwd = pathlib.Path.cwd()
     total = 0
-    for path in sorted(opts.root.resolve().rglob("*.py")):
+    for path in sorted(_ROOT.rglob("*.py")):
         shown = path.relative_to(cwd) if path.is_relative_to(cwd) else path
         for line, statement in unreached(path, executed.get(str(path), set())):
             print(f"{shown}:{line}: {statement}")
