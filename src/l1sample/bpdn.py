@@ -151,10 +151,7 @@ def _operator_norm(A, dtype: np.dtype) -> float:
     v = rng.standard_normal(A.shape[1])
     if dtype.kind == "c":
         v = v + 1j * rng.standard_normal(A.shape[1])
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        return 0.0
-    V = (v / nv)[None]
+    V = (v / np.linalg.norm(v))[None]
     for _ in range(_NORM_STEPS):
         W = A.adjoint(A.forward(V))
         nw = np.linalg.norm(W)
@@ -501,6 +498,8 @@ def bpdn_orthonormal_oracle(problem: BpdnProblem) -> BpdnSolution:
 
     a = np.sort(np.abs(u))
     prefix = np.concatenate(([0.0], np.cumsum(a**2)))
+    # a rounding guard: exactly, this means |y| <= rho, returned above, but rho
+    # within ulps of |y| can reach it, and searchsorted would then give j = N
     if prefix[-1] <= R_sq:
         z = np.zeros(N, dtype=A.dtype)
     else:

@@ -177,8 +177,6 @@ def _sequence_norm(klass: FunctionClass, a: np.ndarray) -> float:
 
 
 def _weighted_moduli(klass: FunctionClass, f: CoefficientExpansion) -> np.ndarray:
-    if not f.coefficients:
-        return np.zeros(0)
     return _weights(klass, f.support_array()) * np.abs(f.values_array())
 
 
@@ -254,17 +252,14 @@ def evaluate_function(f: CoefficientExpansion, points):
         pts = _torus_rows(pts, f.system.dim, "point")
     pts = np.atleast_1d(pts)
     vals = np.zeros(pts.shape[0], dtype=np.complex128)
-    if f.coefficients:
-        support, values = f.support_array(), f.values_array()
-        for start in range(0, pts.shape[0], _EVAL_CHUNK):
-            stop = start + _EVAL_CHUNK
-            if f.system.kind == FOURIER:
-                block = _point_array(f.system, pts[start:stop])
-                vals[start:stop] = _fourier_synthesis(support, values, block)
-            else:
-                vals[start:stop] = basis_matrix(f.system, support, pts[start:stop]) @ values
-    else:
-        _point_array(f.system, pts)  # no terms, but the points are still checked
+    support, values = f.support_array(), f.values_array()
+    for start in range(0, pts.shape[0], _EVAL_CHUNK):
+        stop = start + _EVAL_CHUNK
+        if f.system.kind == FOURIER:
+            block = _point_array(f.system, pts[start:stop])
+            vals[start:stop] = _fourier_synthesis(support, values, block)
+        else:
+            vals[start:stop] = basis_matrix(f.system, support, pts[start:stop]) @ values
     return complex(vals[0]) if scalar else vals
 
 

@@ -107,14 +107,9 @@ def pietsch_diag_an(diag: DiagonalSpec, n: int, h_max: int = 10_000) -> Tuple[fl
         gamma = gamma[: nonpos[0]]
     if gamma.size < n:
         raise ValueError("need at least n diagonal values")
-    if np.any(np.diff(gamma) > 0):
-        raise ValueError("diagonal values must be non-increasing")
     with np.errstate(over="ignore"):
-        inv_sq = gamma**-2.0
-    S = np.cumsum(inv_sq)[n - 1 :]
+        S = np.cumsum(gamma**-2.0)[n - 1 :]
     counts = np.arange(1, S.size + 1, dtype=float)
-    with np.errstate(invalid="ignore"):
-        vals = np.sqrt(counts / S)
-    vals = np.nan_to_num(vals, nan=0.0)
+    vals = np.sqrt(counts / S)
     best = int(np.argmax(vals))
     return float(vals[best]), bool(best == S.size - 1)

@@ -256,8 +256,6 @@ def recover(
     y = np.asarray(f_samples).reshape(-1)
     pts = _point_array(config.system, points)
     m = pts.shape[0]
-    if m == 0:
-        raise ValueError("need at least one sample point")
     if y.shape[0] != m:
         raise ValueError("sample count does not match the number of points")
 

@@ -288,7 +288,7 @@ _RADIX = 32
 def _fourier_synthesis(indices: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """sum_k c_k exp(2 pi i <k, x>) at each row x of ``points`` (canonical,
     (P, d)) from per-axis power tables: d exponentials per point instead of
-    one per point and term.
+    one per point and term.  With no terms ((0, d) indices) it gives zeros.
 
     On axis a, with u = exp(2 pi i x_a) and B = ceil(sqrt(max |k_a| + 1)),
     ``_digit_tables`` builds the tables u^j (0 <= j < B) and u^(b B) by
@@ -316,7 +316,7 @@ def _fourier_synthesis(indices: np.ndarray, values: np.ndarray, points: np.ndarr
     terms = None
     for k, x in zip(indices.T, points.T):
         rest, negative = np.abs(k), (k < 0)[:, None]
-        top = int(rest.max())
+        top = int(rest.max(initial=0))
         B = min(math.isqrt(top) + 1, _RADIX)
         for table in _digit_tables(np.exp(2j * np.pi * x), top, B):
             rest, digit = np.divmod(rest, B)

@@ -26,15 +26,12 @@ from .systems import CHEBYSHEV, FOURIER, fourier_system
 
 
 def dlvp_coeff(n: int, m: int, k: int) -> float:
-    """Univariate filter coefficient a_k for parameters (n, m), k an integer."""
+    """Univariate filter coefficient a_k for parameters (n, m), k an integer:
+    the module docstring's three cases as one ramp clipped to [0, 1]."""
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     a = abs(fourier_system(1).key(k)[0])
-    if a <= n - m:
-        return 1.0
-    if a <= n + m:
-        return (n + m + 1 - a) / (2 * m + 1)
-    return 0.0
+    return min(max((n + m + 1 - a) / (2 * m + 1), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -72,8 +69,6 @@ class DlvpSpec:
         out = 1.0
         for comp in fourier_system(self.d).key(k):
             out *= dlvp_coeff(self.n, self.m, comp)
-            if out == 0.0:
-                return 0.0
         return out
 
     def l1_norm_bound(self) -> float:
@@ -104,8 +99,6 @@ def kernel_values(spec: DlvpSpec, x) -> np.ndarray:
     """Univariate kernel K(x) = 1 + 2 sum_k a_k cos(2 pi k x)."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     freqs = np.arange(1, spec.support_radius + 1)
-    if freqs.size == 0:
-        return np.ones_like(xs)
     a = np.array([dlvp_coeff(spec.n, spec.m, k) for k in freqs])
     return 1.0 + 2.0 * np.cos(2.0 * np.pi * np.outer(xs, freqs)) @ a
 

@@ -205,10 +205,14 @@ def test_non_finite_iterates_stop_at_the_next_check():
     assert not np.isfinite(sol.residual_norm + sol.gap)
 
 
+@pytest.mark.filterwarnings("error")
 def test_zero_matrix_with_y_outside_the_radius_raises():
     prob = BpdnProblem(np.zeros((3, 4)), np.array([1.0, 0.0, 0.0]), eta=0.1)
     with pytest.raises(ValueError, match="numerically zero"):
         solve_bpdn_batch([prob])
+    # N = 0: the norm estimate's start vector is empty, and its power step is 0
+    with pytest.raises(ValueError, match="A is numerically zero"):
+        solve_bpdn(BpdnProblem(np.zeros((3, 0)), np.ones(3), 0.1))
 
 
 # ---------------------------------------------------------------------------

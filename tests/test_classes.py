@@ -274,6 +274,23 @@ def test_evaluate_empty_expansion_still_checks_points(system, points):
         evaluate_function(CoefficientExpansion(system, {}), points)
 
 
+@pytest.mark.parametrize("system, point_shape", [
+    (fourier_system(2), (2,)),
+    (chebyshev_system(), ()),
+    (legendre_preconditioned_system(), ()),
+    (legendre_raw_system(), ()),
+], ids=["fourier", "chebyshev", "legendre_preconditioned", "legendre_raw"])
+def test_empty_expansion_is_zero_block_by_block(system, point_shape):
+    count = 2 * _EVAL_CHUNK + 1
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, (count, *point_shape))
+    f = CoefficientExpansion(system, {})
+    out = evaluate_function(f, points)
+    assert out.dtype == np.complex128 and out.shape == (count,) and not out.any()
+    points[_EVAL_CHUNK + 1] = np.nan  # in the second block
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_function(f, points)
+
+
 # ---------------------------------------------------------------------------
 # Fourier synthesis from per-axis power tables
 

@@ -1,14 +1,10 @@
 """Tests for the refactor gate ``tools/dump_outputs.py --compare``."""
 
-import importlib.util
-import pathlib
-
 import pytest
 
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "dump_outputs.py"
-_SPEC = importlib.util.spec_from_file_location("dump_outputs", _PATH)
-dump_outputs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(dump_outputs)
+from util import load_tool
+
+dump_outputs = load_tool("dump_outputs")
 
 BEFORE = ("== rates\niterations 600 certified true\nslope -1.486 error 7.5e-10\n"
           "== fit\nscore 0.25\n")

@@ -118,6 +118,13 @@ def test_power_decay_rejects_nan():
         power_decay(float("nan"))
 
 
+@pytest.mark.filterwarnings("error")
+def test_pietsch_overflowing_decay_warns_nothing():
+    # the running sum of gamma_j^-2 = j^100 passes the float range at j = 1,180
+    assert pietsch_diag_an(power_decay(50), 1) == (1.0, False)
+    assert pietsch_diag_an(power_decay(50), 2) == (8.881784197001252e-16, False)
+
+
 def test_pietsch_monotone_in_n():
     diag = power_decay(1.0)
     vals = [pietsch_diag_an(diag, n)[0] for n in range(1, 30)]

@@ -226,6 +226,19 @@ def test_build_matrix_shape_and_bound():
 
 
 @pytest.mark.parametrize("system, theorem", [
+    (fourier_system(2), FOURIER3),
+    (fourier_system(1), FOURIER_GRID),
+    (chebyshev_system(), CHEBYSHEV_REGIME),
+    (legendre_preconditioned_system(), LEGENDRE_REGIME),
+])
+def test_recover_from_no_points_raises(system, theorem):
+    cfg = RecoveryConfig(system, theorem, n=2, M=2, eta_override=0.1)
+    points = np.empty((0, system.dim)) if system.kind == systems.FOURIER else np.empty(0)
+    with pytest.raises(ValueError, match="need at least one sample point"):
+        recover(np.empty(0), cfg, points)
+
+
+@pytest.mark.parametrize("system, theorem", [
     (fourier_system(1), FOURIER_GRID),
     (fourier_system(2), FOURIER_GRID),
     (fourier_system(1), FOURIER3),

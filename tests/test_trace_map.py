@@ -1,17 +1,8 @@
 """Tests for the line map ``tools/trace_map.py``."""
 
-import importlib.util
-import pathlib
 import runpy
 
-_TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "trace_map.py"
-
-
-def _trace_map():
-    spec = importlib.util.spec_from_file_location("trace_map", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from util import load_tool
 
 
 def test_the_map_lists_an_unreached_line_of_a_temporary_module(tmp_path, capsys):
@@ -29,7 +20,7 @@ def test_the_map_lists_an_unreached_line_of_a_temporary_module(tmp_path, capsys)
         "    return (y +\n"
         "            1)\n"
     )
-    tool = _trace_map()
+    tool = load_tool("trace_map")
     code, executed = tool.trace(lambda: print(runpy.run_path(str(mod))["f"](2.5)), package)
     assert code == 0 and capsys.readouterr().out == "2\n"
     assert tool.unreached(mod, executed[str(mod)]) == [(7, "y = -x"), (8, "return (y +")]

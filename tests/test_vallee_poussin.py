@@ -29,6 +29,13 @@ def test_coeff_matches_reference(n, m):
         assert dlvp_coeff(n, m, k) == reference_dlvp_coeff(n, m, k)
 
 
+def test_coeff_is_the_three_cases_bit_for_bit():
+    for n in range(21):
+        for m in range(n + 1):
+            for k in range(-(n + m + 5), n + m + 6):
+                assert dlvp_coeff(n, m, k).hex() == reference_dlvp_coeff(n, m, k).hex()
+
+
 def test_coeff_validation():
     with pytest.raises(ValueError):
         dlvp_coeff(2, 3, 0)

@@ -4,6 +4,9 @@ Everything here is deliberately naive (exhaustive enumeration, textbook
 closed forms) so that failures point at the library, not at the test helper.
 """
 
+import importlib
+import pathlib
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -151,3 +154,18 @@ def quadrature_l2_norm(f) -> float:
     x = np.cos(np.pi * theta)
     vals = evaluate_function(f, x)
     return float(np.sqrt(np.sum(0.5 * w * np.abs(vals) ** 2)))
+
+
+# ---------------------------------------------------------------------------
+# the scripts under tools/
+
+TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name: str):
+    """The module ``tools/<name>.py``.  A script's own directory is on its
+    path, and the tools import one another by name, so ``tools/`` joins the
+    path here too."""
+    if str(TOOLS) not in sys.path:
+        sys.path.append(str(TOOLS))
+    return importlib.import_module(name)

@@ -16,18 +16,26 @@ import pathlib
 import sys
 
 
-def counts(text: str):
-    """(all lines, code lines) of one Python source text."""
-    lines = text.splitlines()
-    docstrings = set()
-    for node in ast.walk(ast.parse(text)):
+def docstrings(tree: ast.Module) -> set:
+    """The docstring statements of a syntax tree: each string statement that
+    opens a module, class or function body."""
+    out = set()
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0] if node.body else None
             if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                     and isinstance(first.value.value, str)):
-                docstrings.update(range(first.lineno, first.end_lineno + 1))
+                out.add(first)
+    return out
+
+
+def counts(text: str):
+    """(all lines, code lines) of one Python source text."""
+    lines = text.splitlines()
+    skip = {number for node in docstrings(ast.parse(text))
+            for number in range(node.lineno, node.end_lineno + 1)}
     code = sum(1 for number, line in enumerate(lines, 1)
-               if number not in docstrings and line.strip()
+               if number not in skip and line.strip()
                and not line.strip().startswith("#"))
     return len(lines), code
 

@@ -10,6 +10,10 @@ statement, any line of its body too).  Run from the repository root:
 
     PYTHONPATH=src python tools/trace_map.py -m pytest -q tests
     PYTHONPATH=src python tools/trace_map.py tools/dump_outputs.py
+    PYTHONPATH=src python tools/trace_map.py perfbench/run.py --workload rates-chebyshev --seed 1 --seconds 1 --trace 0
+
+The last is the workload traffic map: one round of a benchmark workload
+(phase-table, rates-chebyshev or torus2d-fit in turn).
 
 Only this process is traced.  Runs in subprocesses are not: the test of the
 installed console script, or a run of ``python -m l1sample.cli``, counts for
@@ -28,22 +32,13 @@ import runpy
 import sys
 import threading
 
+from line_count import docstrings  # tools/, this script's directory, is on the path
+
 _ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "l1sample"
 
 # statements whose own line says nothing about the code that ran
 _LEFT_OUT = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom,
              ast.Try)
-
-
-def _docstrings(tree: ast.Module) -> set:
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            first = node.body[0] if node.body else None
-            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                out.add(first)
-    return out
 
 
 def unreached(path: pathlib.Path, executed: set) -> list:
@@ -52,7 +47,7 @@ def unreached(path: pathlib.Path, executed: set) -> list:
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     tree = ast.parse(text)
-    skip = _docstrings(tree)
+    skip = docstrings(tree)
     out = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.stmt) or isinstance(node, _LEFT_OUT) or node in skip:
