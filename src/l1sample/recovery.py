@@ -232,6 +232,7 @@ class RecoveryResult:
             "objective": self.solution.objective,
             "residual_norm": self.solution.residual_norm,
             "iterations": self.solution.iterations,
+            "stop": self.solution.stop,
             "duality_gap": self.solution.gap,
             "l2_error": self.l2_err,
             "expansion": self.expansion.to_json(),

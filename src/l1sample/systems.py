@@ -471,9 +471,10 @@ class LatticeFourier:
     sqrt(q^d * the largest point multiplicity); ``norms()`` gives it per
     trial.  The products map a (T, N) stack to (T, m) and back, row t
     through trial t, and ``stack`` and ``take`` join and select trials: the
-    batch interface of ``bpdn.solve_bpdn_batch``.  ``A @ z`` (one trial)
-    evaluates the columns on the support of z by direct exponentials
-    (``basis_matrix``), independently of the FFT.
+    batch interface of ``bpdn.solve_bpdn_batch``.  ``columns(t, support)``
+    evaluates trial t's columns by direct exponentials (``basis_matrix``),
+    independently of the FFT; ``A @ z`` (one trial) multiplies the columns
+    on the support of z.
     """
 
     dtype = np.dtype(np.complex128)
@@ -551,13 +552,19 @@ class LatticeFourier:
             np.fft.fft(grid, axis=axis, out=grid)
         return grid.reshape(T, -1)
 
+    def columns(self, t: int, support: np.ndarray) -> np.ndarray:
+        """Trial t's columns ``support``, an (m, |support|) array of direct
+        exponentials (``basis_matrix``)."""
+        d = self._points.shape[2]
+        return basis_matrix(fourier_system(d), IndexSet(BOX, d, self._half_width).at(support),
+                            self._points[t])
+
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         """A z for one trial, from the exponentials of the support's columns."""
         if self._cells.shape[0] != 1:
             raise ValueError("A @ z takes the operator of one trial")
-        d = self._points.shape[2]
-        return _support_product(fourier_system(d), IndexSet(BOX, d, self._half_width),
-                                self._points[0], z)
+        support = np.asarray(z).nonzero()[0]
+        return self.columns(0, support) @ np.asarray(z)[support]
 
 
 def _torus_points(points, half_width: int) -> np.ndarray:
@@ -571,14 +578,6 @@ def _torus_points(points, half_width: int) -> np.ndarray:
     if not pts.shape[0]:
         raise ValueError("need at least one sample point")
     return pts
-
-
-def _support_product(system: System, columns: IndexSet, points: np.ndarray, z) -> np.ndarray:
-    """A z over the index set ``columns``, from the basis functions of the
-    support's columns alone (``basis_matrix``)."""
-    z = np.asarray(z)
-    support = z.nonzero()[0]
-    return basis_matrix(system, columns.at(support), points) @ z[support]
 
 
 def _row_kronecker(tables) -> np.ndarray:
@@ -673,9 +672,9 @@ class FourierTables:
     ``ChebyshevTransform`` of the same points, accurate to about 2e-12
     relative at 1616 x 17377.
 
-    ``A @ z`` (one trial) evaluates the columns on the support of z by
-    direct exponentials or cosines (``basis_matrix``), independently of the
-    tables.
+    ``columns(0, support)`` evaluates columns by direct exponentials or
+    cosines (``basis_matrix``), independently of the tables; ``A @ z`` (one
+    trial) multiplies the columns on the support of z.
     """
 
     dtype = np.dtype(np.complex128)
@@ -773,9 +772,15 @@ class FourierTables:
             np.matmul(self._left * w.conj(), self._right.T, out=o.reshape(P, Q))
         return np.conjugate(out[:, :N], out=out[:, :N])
 
+    def columns(self, t: int, support: np.ndarray) -> np.ndarray:
+        """The columns ``support`` of the one trial (t = 0), an (m,
+        |support|) array of basis functions (``basis_matrix``), not the tables."""
+        return basis_matrix(self._system, self._columns.at(support), self._points)
+
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         """A z from the basis functions of the support's columns, not the tables."""
-        return _support_product(self._system, self._columns, self._points, z)
+        support = np.asarray(z).nonzero()[0]
+        return self.columns(0, support) @ np.asarray(z)[support]
 
 
 # ---------------------------------------------------------------------------

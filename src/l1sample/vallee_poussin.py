@@ -96,11 +96,12 @@ def apply_quasi_projection(spec: DlvpSpec, f: CoefficientExpansion) -> Coefficie
 
 
 def kernel_values(spec: DlvpSpec, x) -> np.ndarray:
-    """Univariate kernel K(x) = 1 + 2 sum_k a_k cos(2 pi k x)."""
+    """Univariate kernel K(x) = 1 + 2 sum_k a_k cos(2 pi k x), entrywise:
+    an array of shape ``np.atleast_1d(x).shape``."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     freqs = np.arange(1, spec.support_radius + 1)
     a = np.array([dlvp_coeff(spec.n, spec.m, k) for k in freqs])
-    return 1.0 + 2.0 * np.cos(2.0 * np.pi * np.outer(xs, freqs)) @ a
+    return 1.0 + 2.0 * np.cos(2.0 * np.pi * np.multiply.outer(xs, freqs)) @ a
 
 
 def kernel_l1_norm(spec: DlvpSpec) -> float:

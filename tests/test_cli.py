@@ -72,6 +72,7 @@ def test_recover_writes_json_to_stdout(capsys):
         "objective",
         "residual_norm",
         "iterations",
+        "stop",
         "duality_gap",
         "l2_error",
         "expansion",

@@ -469,11 +469,12 @@ def test_result_json_fields():
     payload = result.to_json()
     for key in (
         "theorem", "eta", "samples_used", "certified", "objective",
-        "residual_norm", "iterations", "duality_gap", "l2_error", "expansion",
+        "residual_norm", "iterations", "stop", "duality_gap", "l2_error", "expansion",
     ):
         assert key in payload
     assert payload["theorem"] == FOURIER_GRID
     assert payload["certified"] is True
+    assert payload["stop"] == "inside"
 
 
 # ---------------------------------------------------------------------------

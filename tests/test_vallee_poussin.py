@@ -171,6 +171,13 @@ def test_kernel_values_direct_sum():
     assert np.abs(kernel_values(spec, x) - expected).max() < 1e-12
     # the (0, 0) filter keeps only the constant: K = 1
     assert kernel_values(DlvpSpec(0, 0), x).tolist() == [1.0] * 4
+    # a multi-dimensional x keeps its shape, at every radius
+    assert kernel_values(DlvpSpec(2, 1), np.zeros((2, 3))).shape == (2, 3)
+    grid = np.linspace(0.0, 0.5, 6).reshape(2, 3)
+    for other in (spec, DlvpSpec(0, 0)):
+        values = kernel_values(other, grid)
+        assert values.shape == (2, 3)
+        assert np.array_equal(values.reshape(-1), kernel_values(other, grid.reshape(-1)))
 
 
 @pytest.mark.parametrize("n,m", [(1, 0), (2, 1), (4, 2), (8, 4), (5, 5)])
