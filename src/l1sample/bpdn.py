@@ -243,18 +243,18 @@ def _polish(A, t: int, z: np.ndarray, w: np.ndarray, y: np.ndarray, rho: float):
     """Trial t's pair (z, w) solved from BPDN's optimality conditions on the
     support S of z, or None where the polish declines.
 
-    The conditions are A_S^H (A_S z - y) = -mu sign(z) and |A_S z - y| = rho,
-    with w = (A_S z - y) / mu; one QR of the columns, A_S = QR, gives the
-    least-squares point z_ls = R^-1 Q^H y and its residual r_ls.  At rho = 0,
-    z = z_ls and s = z / |z|, and w is the given w projected onto
-    {A_S^H w = -s}.  At rho > 0 (real data only), s is the sign of the given
-    z on S, u = R^-T s, mu = sqrt((rho^2 - |r_ls|^2) / |u|^2), z = z_ls - mu
-    R^-1 u and w = r_ls / mu - Q u.  The polish declines unless 1 <= |S| <= m,
-    on complex data with rho > 0, on an R singular to working precision, on
-    rho^2 <= |r_ls|^2, and when a polished entry is exactly zero.
+    The conditions are A_S^H (A_S z - y) = -mu z / |z| and |A_S z - y| = rho,
+    with w = (A_S z - y) / mu and the phase z / |z| (on real data, the sign).
+    One QR of the columns, A_S = QR, gives the least-squares point z_ls =
+    R^-1 Q^H y and its residual r_ls.  At rho = 0, z = z_ls and s = z / |z|,
+    and w is the given w projected onto {A_S^H w = -s}.  At rho > 0, s is the
+    phase of the given z on S, u = R^-H s, mu = sqrt((rho^2 - |r_ls|^2) /
+    |u|^2), z = z_ls - mu R^-1 u and w = r_ls / mu - Q u.  The polish declines
+    unless 1 <= |S| <= m, on an R singular to working precision, on rho^2 <=
+    |r_ls|^2, and when a polished entry is exactly zero.
     """
     support = z.nonzero()[0]
-    if not 1 <= support.size <= y.size or (rho > 0 and z.dtype.kind == "c"):
+    if not 1 <= support.size <= y.size:
         return None
     columns = A.columns(t, support)
     Q, R = np.linalg.qr(columns)
@@ -271,11 +271,11 @@ def _polish(A, t: int, z: np.ndarray, w: np.ndarray, y: np.ndarray, rho: float):
         wp = w + Q @ np.linalg.solve(R.conj().T, -s - columns.conj().T @ w)
     else:
         r_ls = Q @ coefficients - y
-        slack = rho * rho - r_ls @ r_ls
+        slack = rho * rho - np.vdot(r_ls, r_ls).real
         if not slack > 0:
             return None
-        u = np.linalg.solve(R.T, np.sign(z[support]))
-        mu = np.sqrt(slack / (u @ u))
+        u = np.linalg.solve(R.conj().T, z[support] / np.abs(z[support]))
+        mu = np.sqrt(slack / np.vdot(u, u).real)
         zp = z_ls - mu * np.linalg.solve(R, u)
         if not zp.all():
             return None
@@ -331,7 +331,7 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     At every check, each trial that did not certify, and whose point is
     finite, is polished (``_polish``): BPDN's optimality conditions
     restricted to the support S of its iterate, A_S^H (A_S z - y) = -mu
-    sign(z) and ||A_S z - y|| = rho, are solved from one QR of the
+    z / |z| and ||A_S z - y|| = rho, are solved from one QR of the
     support's columns, which the operator's ``columns`` gives.  This is the
     debiasing step of sparse solvers (Figueiredo, Nowak & Wright, IEEE J.
     Sel. Top. Signal Process. 2007) on BPDN's Pareto relation between mu and
@@ -341,9 +341,9 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     ``take``; a pair that passes stops its trial at that check, certified,
     and one that fails changes nothing.  Each trial polishes alone, so the
     bit-for-bit rule holds.  The polish declines where |S| is 0 or above m,
-    on complex data with rho > 0, on a singular R, on rho at or below the
-    least-squares residual, and on an exactly zero polished entry.  The
-    solution's ``stop`` says which exit a trial took.
+    on a singular R, on rho at or below the least-squares residual, and on
+    an exactly zero polished entry.  The solution's ``stop`` says which exit
+    a trial took.
 
     A check that does not stop a trial may restart its iteration (Applegate
     et al., "Faster first-order primal-dual methods for linear programming

@@ -476,14 +476,13 @@ def test_transform_solve_matches_the_dense_solve(m, N, complex_y, max_iters):
     assert (fast.iterations, fast.certified, fast.stop) == (dense.iterations, dense.certified,
                                                              dense.stop)
     # the exact adjoint serves exactly the check iterations and the checks of
-    # the polished pairs, one at every check of real data and none of
-    # complex data at a radius; the transform the other iterations and the
-    # 60-step power method (121 products)
+    # the polished pairs, one at every check; the transform the other
+    # iterations and the 60-step power method (121 products)
     checks = sum(1 for it in range(1, fast.iterations + 1) if it % 25 == 0 or it == max_iters)
-    assert len(polishes) == (0 if complex_y else checks)
+    assert len(polishes) == checks
     assert len(exact_adjoints) == checks + len(polishes)
     assert transform.calls == 121 + fast.iterations - checks
-    assert fast.stop == ("gap" if complex_y else "polished" if fast.certified else "max_iters")
+    assert fast.stop == ("polished" if fast.certified else "max_iters")
     assert fast.certified == (max_iters == 50_000)
     assert fast.z.dtype == dense.z.dtype
     assert np.linalg.norm(fast.z - dense.z) <= 1e-9 * np.linalg.norm(dense.z)
@@ -635,19 +634,32 @@ def _certifies(prob, z, w):
 _POLISHED = [(False, 0.0), (True, 0.0), (False, 1e-3)]  # (complex data, eta)
 
 
-@pytest.mark.parametrize("complex_data, eta", _POLISHED)
+@pytest.mark.parametrize("complex_data, eta", _POLISHED + [(True, 1e-3)])
 def test_a_polished_point_solves_the_restricted_conditions(complex_data, eta, monkeypatch):
     for seed in range(3):
         prob, x = _unit_instance(seed, complex_data, eta)
-        sol = solve_bpdn(prob)
+        read, polish = [], bpdn._polish
+        with monkeypatch.context() as patch:
+            patch.setattr(bpdn, "_polish",
+                          lambda A, t, z, *rest: read.append(z.copy()) or polish(A, t, z, *rest))
+            sol = solve_bpdn(prob)
         assert sol.certified and sol.stop == "polished"
         if eta == 0:
             assert np.linalg.norm(sol.z - x) <= 1e-12 * np.linalg.norm(x)
         support = sol.z.nonzero()[0]
         A_S, z_S = prob.A[:, support], sol.z[support]
         r = A_S @ z_S - prob.y
-        # A_S^H (A_S z - y) = -mu sign(z) for one mu >= 0, and |A_S z - y| = rho
-        mu = -(A_S.conj().T @ r) / (z_S / np.abs(z_S))
+        # A_S^H (A_S z - y) = -mu s for one real mu >= 0, and |A_S z - y| = rho,
+        # with s = z / |z| ...
+        s = z_S / np.abs(z_S)
+        if complex_data and eta > 0:
+            # ... of the iterate the stopping check polished; the point's own
+            # phase is within the angles the certificate allows, as its gap
+            # is sum |z| (1 - cos angle) <= obj_tol max(1, |z|_1)
+            s = read[-1][support] / np.abs(read[-1][support])
+            objective = np.abs(z_S).sum()
+            assert objective - np.vdot(s, z_S).real <= prob.obj_tol * max(1.0, objective)
+        mu = -(A_S.conj().T @ r) / s
         assert np.abs(mu - mu.real.mean()).max() <= 1e-12
         assert mu.real.mean() > 0 if eta > 0 else abs(mu.real.mean()) <= 1e-12
         assert abs(np.linalg.norm(r) - prob.radius) <= 1e-12
@@ -678,15 +690,21 @@ def test_the_true_support_polishes_to_a_certificate_and_one_index_less_does_not(
         assert pair is None or not _certifies(prob, *pair)
 
 
-def test_complex_data_with_a_radius_is_not_polished(monkeypatch):
-    prob, x = _unit_instance(0, True, 1e-3)
-    w = np.zeros(prob.A.shape[0], dtype=complex)
-    assert _polish(_Dense(prob.A), 0, x, w, prob.y, prob.radius) is None
+def test_complex_data_with_more_nonzeros_than_samples_is_not_polished(monkeypatch):
+    # four samples of five unit-modulus Fourier terms at a radius: the
+    # iterate has more than four nonzeros at every check, and so has the
+    # certified point, for a complex l1 minimizer is not m-sparse
+    rng = np.random.default_rng(3)
+    A = basis_matrix(fourier_system(1), np.arange(-24, 25), rng.random((4, 1)))
+    c, support = np.zeros(49, dtype=complex), rng.choice(49, 5, replace=False)
+    c[support] = np.exp(2j * np.pi * rng.random(5))
+    prob = BpdnProblem(A, A @ c, eta=0.01, step_ratio=0.0625)
     monkeypatch.setattr(_Dense, "columns", lambda *args: pytest.fail("columns built"))
     polished = solve_bpdn(prob)
     monkeypatch.setattr(bpdn, "_polish", lambda *args: None)
     plain = solve_bpdn(prob)
     assert polished.certified and polished.stop == "gap"
+    assert np.count_nonzero(polished.z) > A.shape[0]
     assert _same(polished, plain)
 
 

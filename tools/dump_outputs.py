@@ -86,6 +86,10 @@ RATE_CASES = {
     "sobolev_mixed r=0.75": ExperimentConfig(
         sobolev_mixed(0.75, 1), (2, 4, 8), trials_per_n=2, seed_base=12,
         step_ratio=STEP),
+    # complex data at a radius whose solves polish: d=2, n=4, lattice points
+    "wiener_mixed d=2 fourier_grid head": ExperimentConfig(
+        wiener_mixed(1.0, 2), (4,), trials_per_n=2, theorem="fourier_grid",
+        sparsity="head", c_eta=0.01, seed_base=11, step_ratio=STEP),
     # one trial of the acceptance suite's Chebyshev p=1/2 sweep (criterion 7)
     "chebyshev p=1/2 n=8,16": ExperimentConfig(
         poly_wiener(-0.5, 1.0, 0.5), (8, 16), trials_per_n=1, c_sample=0.07,
