@@ -193,14 +193,10 @@ def _abs_max(V: np.ndarray) -> np.ndarray:
     return np.abs(V).max(axis=1, keepdims=True)
 
 
-# Adaptive restarts to the running average (Applegate et al., "Faster
-# first-order primal-dual methods for linear programming using restarts and
-# sharpness", Math. Program. 2023): at a check, restart when the candidate's
-# KKT error is this fraction of its value at the last restart ...
-_RESTART_SUFFICIENT = 0.2
-# ... or this fraction, and has risen since the previous check ...
-_RESTART_NECESSARY = 0.8
-# ... or when the iterations since the restart are this share of all so far.
+# The one restart trigger, the "artificial" restart of Applegate et al.
+# ("Faster first-order primal-dual methods for linear programming using
+# restarts and sharpness", Math. Program. 2023): a check restarts once the
+# iterations since the last restart are this share of all so far.
 _RESTART_ARTIFICIAL = 0.36
 # Primal-weight smoothing at each restart (Applegate et al., "Practical
 # large-scale linear programming using primal-dual hybrid gradient",
@@ -318,15 +314,15 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     omega`` and ``sigma = step * omega``, so ``tau * sigma`` stays fixed
     below ``1 / ||A||^2``: ``step = 0.95 / (1.05 ||A||)``.  Every trial keeps
     its own scale, radius, ``feas_tol``, step, primal weight and restart
-    state, and every trial reaches the checks, every 25th iteration and the
-    last, together.  A check certifies a trial's current point when, and
-    only when, it is feasible within ``feas_tol`` and the duality gap is at
-    most ``obj_tol * max(1, objective)``.  The trial stops at a check, with
-    that check's point, residual, objective and gap: certified, or
-    uncertified when the residual or the gap is not finite, or when the
-    check is the last of ``max_iters``; the stack then drops it.  An
-    ``obj_tol`` below what rounding can reach therefore runs the whole
-    budget and returns uncertified rather than raising.
+    point, and the trials reach the checks, every 25th iteration and the
+    last, and the restarts together.  A check certifies a trial's current
+    point when, and only when, it is feasible within ``feas_tol`` and the
+    duality gap is at most ``obj_tol * max(1, objective)``.  The trial
+    stops at a check, with that check's point, residual, objective and gap:
+    certified, or uncertified when the residual or the gap is not finite,
+    or when the check is the last of ``max_iters``; the stack then drops
+    it.  An ``obj_tol`` below what rounding can reach therefore runs the
+    whole budget and returns uncertified rather than raising.
 
     At every check, each trial that did not certify, and whose point is
     finite, is polished (``_polish``): BPDN's optimality conditions
@@ -345,19 +341,18 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     an exactly zero polished entry.  The solution's ``stop`` says which exit
     a trial took.
 
-    A check that does not stop a trial may restart its iteration (Applegate
-    et al., "Faster first-order primal-dual methods for linear programming
-    using restarts and sharpness", Math. Program. 2023).  The candidate is
-    the current point or the average of the iterates since the last
-    restart, whichever has the smaller KKT error (primal infeasibility,
-    dual infeasibility and the gap).  The iteration restarts from it when
-    that error is at most 0.2 times its value at the last restart, or at
-    most 0.8 times and risen since the previous check, or when the
-    iterations since the restart are at least 0.36 of all so far.  Each
-    restart re-balances the primal weight, ``omega <- sqrt(omega * |dw| /
-    |dz|)`` over the moves since the last restart (Applegate et al.,
-    "Practical large-scale linear programming using primal-dual hybrid
-    gradient", NeurIPS 2021); it starts at ``1 / step_ratio``.
+    A check restarts the iteration of the trials it does not stop once the
+    iterations since the last restart are at least 0.36 of all so far
+    (Applegate et al., "Faster first-order primal-dual methods for linear
+    programming using restarts and sharpness", Math. Program. 2023): at
+    the checks at 25, 50, 100, 175, 275, 450 and so on.  Each trial
+    restarts from the current point or the average of its iterates since
+    the last restart, whichever has the smaller KKT error (primal
+    infeasibility, dual infeasibility and the gap).  Each restart
+    re-balances the primal weight, ``omega <- sqrt(omega * |dw| / |dz|)``
+    over the moves since the last restart (Applegate et al., "Practical
+    large-scale linear programming using primal-dual hybrid gradient",
+    NeurIPS 2021); it starts at ``1 / step_ratio``.
 
     ``problem.A`` is a dense matrix or an operator.  An operator has
     ``shape`` (m, N), ``dtype``, ``forward(X)``, which takes a (T, N) stack
@@ -383,7 +378,7 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     residual, including the returned one) multiply only the columns on the
     support of z; this is the dense sum without its zero terms.  The
     average's A^H w is the running sum of the loop's own adjoints, so
-    restarts add one forward product per check and no adjoint.  ||A|| is
+    restarts add one forward product per restart and no adjoint.  ||A|| is
     ``norms()`` where the operator has it, and otherwise a 60-step
     power-method estimate on the stand-in (or on A), which the 1.05 margin
     covers.  The stand-in also serves the adjoint of every iteration but the
@@ -441,12 +436,10 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     T = index.size
     Z, Zbar = np.zeros((T, N), dtype=dtype), np.zeros((T, N), dtype=dtype)
     W = np.zeros_like(Y)
-    # the last restart point and its KKT error (z = w = 0 leaves only the
-    # primal infeasibility ||y|| - rho = 1 - rho), the candidate's error at
-    # the previous check, and the running sums behind the average since the
-    # restart (A^H w summed over the loop's own adjoints)
-    Z_start, W_start, start_it = np.zeros_like(Z), np.zeros_like(W), np.zeros_like(index)
-    kkt_start, kkt_prev = np.sqrt(omega) * (1.0 - rho), np.full_like(step, np.inf)
+    # the last restart point, its iteration (shared by the trials) and the
+    # running sums behind the average since it (A^H w summed over the loop's
+    # own adjoints)
+    Z_start, W_start, start_it = np.zeros_like(Z), np.zeros_like(W), 0
     Z_sum, W_sum, AH_sum = np.zeros_like(Z), np.zeros_like(W), np.zeros_like(Z)
     max_iters, obj_tol = first.max_iters, first.obj_tol
     fast = getattr(A, "fast", A)
@@ -522,13 +515,15 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
             A = A.take(keep)
             fast = getattr(A, "fast", A)
             (index, scale, Y, rho, feas_tol, step, omega, tau, sigma, sigma_y, Z, Zbar, W,
-             Z_start, W_start, start_it, kkt_start, kkt_prev, Z_sum, W_sum, AH_sum,
-             residual, objective, value, AH_W_max) = _compact(keep, (
+             Z_start, W_start, Z_sum, W_sum, AH_sum, residual, objective, value,
+             AH_W_max) = _compact(keep, (
                  index, scale, Y, rho, feas_tol, step, omega, tau, sigma, sigma_y, Z, Zbar, W,
-                 Z_start, W_start, start_it, kkt_start, kkt_prev, Z_sum, W_sum, AH_sum,
-                 residual, objective, value, AH_W_max))
+                 Z_start, W_start, Z_sum, W_sum, AH_sum, residual, objective, value,
+                 AH_W_max))
 
-        count = (it - start_it)[:, None]
+        count = it - start_it
+        if count < _RESTART_ARTIFICIAL * it:
+            continue
         Z_avg, W_avg = Z_sum / count, W_sum / count
         avg_residual = _row_norms(A.forward(Z_avg) - Y)
         avg_objective, avg_value = _values(Z_avg, W_avg, Y, rho)
@@ -536,28 +531,19 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
         kkt_avg = _kkt_errors(avg_residual, _abs_max(AH_sum) / count,
                               avg_objective - avg_value, rho, omega)
         kkt_cur = _kkt_errors(residual, AH_W_max, objective - value, rho, omega)
-        kkt = np.minimum(kkt_avg, kkt_cur)
-        restart = ((kkt <= _RESTART_SUFFICIENT * kkt_start)
-                   | ((kkt_prev < kkt) & (kkt <= _RESTART_NECESSARY * kkt_start))
-                   | (count >= _RESTART_ARTIFICIAL * it))
-        kkt_prev = np.where(restart, np.inf, kkt)
-        if not restart.any():
-            continue
-        rows = restart[:, 0]
-        to_avg = rows & (kkt_avg < kkt_cur)[:, 0]
+        to_avg = (kkt_avg < kkt_cur)[:, 0]
         Z[to_avg], W[to_avg] = Z_avg[to_avg], W_avg[to_avg]
         dz, dw = _row_norms(Z - Z_start), _row_norms(W - W_start)
-        reweight = restart & (dz > 0.0) & (dw > 0.0)
+        reweight = (dz > 0.0) & (dw > 0.0)
         ratio = np.where(reweight, dw, 1.0) / np.where(reweight, dz, 1.0) / omega
         omega = np.where(reweight, omega * ratio**_WEIGHT_SMOOTHING, omega)
         tau, sigma = step / omega, step * omega
         sigma_y = sigma * Y
-        Zbar[rows] = Z_start[rows] = Z[rows]
-        W_start[rows] = W[rows]
-        start_it[rows] = it
-        kkt_start = np.where(restart, kkt, kkt_start)
+        Zbar[...] = Z_start[...] = Z
+        W_start[...] = W
+        start_it = it
         for total in (Z_sum, W_sum, AH_sum):
-            total[rows] = 0
+            total[...] = 0
     raise AssertionError("unreachable: the check at max_iters stops every trial")
 
 

@@ -530,6 +530,20 @@ def test_restarts_cut_the_iterations_and_keep_the_solutions():
     assert sum(sol.iterations for sol in solutions) < 26_100 / 2
 
 
+def test_restarts_follow_the_iteration_schedule_alone(monkeypatch):
+    # a solve that runs its whole budget of 200 restarts at the checks at
+    # 25, 50, 100 and 175, where the iterations since the last restart reach
+    # 0.36 of all so far, and weighs the current point against the average
+    # only there: two KKT errors per restart, none at the other checks
+    calls, kkt_errors = [], bpdn._kkt_errors
+    monkeypatch.setattr(bpdn, "_polish", lambda *args: None)
+    monkeypatch.setattr(bpdn, "_kkt_errors",
+                        lambda *args: calls.append(1) or kkt_errors(*args))
+    sol = solve_bpdn(_lattice_problem(24, max_iters=200))
+    assert (sol.stop, sol.iterations) == ("max_iters", 200)
+    assert len(calls) == 2 * 4
+
+
 # ---------------------------------------------------------------------------
 # batches of lattice problems
 

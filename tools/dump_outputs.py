@@ -10,6 +10,10 @@ blocked synthesis.  A d=3 fit and a d=2 ``fourier_grid`` recovery cover the
 Fourier tables' Khatri-Rao products and lattice points.  Fourier expansions
 with |k_a| >= 1024 and negative keys, evaluated by ``evaluate_function`` in
 d=1 and d=2, cover the synthesis's digits past the first two.
+Under every rate and phase section it prints that section's total solver
+iterations and its count of each ``stop`` value, read from every
+``bpdn.solve_bpdn_batch`` call the section makes (``solve_bpdn`` and the
+phase table's batches both go through it).
 Run it on two checkouts and compare the files:
 
     PYTHONPATH=src python tools/dump_outputs.py > before.txt
@@ -32,6 +36,7 @@ any mismatch:
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -59,7 +64,7 @@ from l1sample import (
     wiener_iso,
     wiener_mixed,
 )
-from l1sample import cli
+from l1sample import bpdn, cli, harness
 
 STEP = 0.0625
 
@@ -201,6 +206,30 @@ def _synthesis(dim: int, keys, seed: int, count: int) -> str:
     return f"values {_pairs(evaluate_function(f, pts))}\n"
 
 
+@contextlib.contextmanager
+def _solves():
+    """Collect the solutions of every ``solve_bpdn_batch`` call inside, also
+    those made through the name ``harness`` imported."""
+    solutions, solve = [], bpdn.solve_bpdn_batch
+
+    def recorded(problems):
+        out = solve(problems)
+        solutions.extend(out)
+        return out
+
+    bpdn.solve_bpdn_batch = harness.solve_bpdn_batch = recorded
+    try:
+        yield solutions
+    finally:
+        bpdn.solve_bpdn_batch = harness.solve_bpdn_batch = solve
+
+
+def _solver_line(solutions) -> str:
+    stops = collections.Counter(sol.stop for sol in solutions)
+    return (f"solver iterations {sum(sol.iterations for sol in solutions)} "
+            f"stops {json.dumps(dict(sorted(stops.items())))}\n")
+
+
 def _pairs(values) -> str:
     """Complex values as a JSON list of [real, imaginary] pairs."""
     return json.dumps([[z.real, z.imag] for z in np.asarray(values)])
@@ -279,12 +308,16 @@ def main() -> int:
         with open(args.compare[0]) as fa, open(args.compare[1]) as fb:
             return compare(fa.read(), fb.read(), args.rtol, args.atol)
     for title, config in RATE_CASES.items():
-        report = run_rate_experiment(config)
-        _section(title, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+        with _solves() as solutions:
+            report = run_rate_experiment(config)
+        _section(title, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+                 + _solver_line(solutions))
         _section(title + " csv", report_text(report, "csv"))
     for title, kwargs in PHASE_CASES.items():
-        report = run_phase_experiment(step_ratio=STEP, **kwargs)
-        _section(title, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+        with _solves() as solutions:
+            report = run_phase_experiment(step_ratio=STEP, **kwargs)
+        _section(title, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+                 + _solver_line(solutions))
     for title, case in FIT_CASES.items():
         _section(title, _fit(*case))
     for title, case in SYNTHESIS_CASES.items():
