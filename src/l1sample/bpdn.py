@@ -90,17 +90,19 @@ class BpdnSolution:
     """A solve's point and figures.  ``stop`` says why it stopped: ``inside``
     (y lies in the ball and z = 0), ``gap`` (a check certified the
     iterate), ``polished`` (a check certified the iterate's polished pair;
-    see ``solve_bpdn_batch``), ``max_iters`` or ``nonfinite``; the last two
-    are uncertified.  The solvers always set it; a solution built from the
-    first six figures alone reads as stopped by its gap."""
+    see ``solve_bpdn_batch``), ``max_iters`` or ``nonfinite``.  The solution
+    is ``certified`` unless it stopped at ``max_iters`` or ``nonfinite``."""
 
     z: np.ndarray
     residual_norm: float
     objective: float
     iterations: int
-    certified: bool
     gap: float
-    stop: str = "gap"
+    stop: str
+
+    @property
+    def certified(self) -> bool:
+        return self.stop not in ("max_iters", "nonfinite")
 
 
 def soft_threshold_complex(v: np.ndarray, t: float) -> np.ndarray:
@@ -143,11 +145,7 @@ class _Dense:
 
     def adjoint(self, W: np.ndarray) -> np.ndarray:
         """A^H w of each row w, as conj(conj(w) A): no transposed copy of A."""
-        if self.dtype.kind != "c":
-            rows = [w @ self.A for w in W]
-        else:
-            rows = [np.conjugate(g, out=g) for g in (w.conj() @ self.A for w in W)]
-        return rows[0][None] if len(rows) == 1 else np.stack(rows)
+        return np.stack([np.conjugate(w.conj() @ self.A) for w in W])
 
 
 _NORM_STEPS = 60  # power-method steps of the norm estimate
@@ -376,14 +374,14 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
 
     The iterates are sparse, so the forward products (the step and every
     residual, including the returned one) multiply only the columns on the
-    support of z; this is the dense sum without its zero terms.  The
-    average's A^H w is the running sum of the loop's own adjoints, so
-    restarts add one forward product per restart and no adjoint.  ||A|| is
-    ``norms()`` where the operator has it, and otherwise a 60-step
-    power-method estimate on the stand-in (or on A), which the 1.05 margin
-    covers.  The stand-in also serves the adjoint of every iteration but the
-    checks.  Those use the exact A^H w, so the gap, the residual and the
-    returned point behind a certificate rest on exact products.
+    support of z; this is the dense sum without its zero terms.  Each
+    restart adds one forward product and one stand-in adjoint, both of the
+    average.  ||A|| is ``norms()`` where the operator has it, and otherwise
+    a 60-step power-method estimate on the stand-in (or on A), which the
+    1.05 margin covers.  The stand-in also serves the adjoint of every
+    iteration but the checks, and of each restart's average.  The checks
+    use the exact A^H w, so the gap, the residual and the returned point
+    behind a certificate rest on exact products.
     """
     problems = list(problems)
     if not problems:
@@ -404,7 +402,7 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     for i in np.flatnonzero(inside):
         # z = 0 is feasible and no objective can beat ||0||_1
         solutions[i] = BpdnSolution(np.zeros(N, dtype=dtype), float(y_norm[i, 0]),
-                                    0.0, 0, True, 0.0, "inside")
+                                    0.0, 0, 0.0, "inside")
     index = np.flatnonzero(~inside)
     if index.size == 0:
         return solutions
@@ -424,7 +422,7 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
         raise ValueError("A is numerically zero and y lies outside the radius")
 
     # per-trial state, one row per running trial; no two arrays share memory,
-    # since the loop updates them and the checks compact them in place
+    # since the loop updates them in place
     scale = y_norm[index]
     Y = Y[index] / scale
     rho = rho[index] / scale
@@ -437,10 +435,9 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
     Z, Zbar = np.zeros((T, N), dtype=dtype), np.zeros((T, N), dtype=dtype)
     W = np.zeros_like(Y)
     # the last restart point, its iteration (shared by the trials) and the
-    # running sums behind the average since it (A^H w summed over the loop's
-    # own adjoints)
+    # running sums behind the average since it
     Z_start, W_start, start_it = np.zeros_like(Z), np.zeros_like(W), 0
-    Z_sum, W_sum, AH_sum = np.zeros_like(Z), np.zeros_like(W), np.zeros_like(Z)
+    Z_sum, W_sum = np.zeros_like(Z), np.zeros_like(W)
     max_iters, obj_tol = first.max_iters, first.obj_tol
     fast = getattr(A, "fast", A)
     any_radius, tiny = bool(rho.any()), np.finfo(np.float64).tiny
@@ -470,7 +467,6 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
         Z = U
         Z_sum += Z
         W_sum += W
-        AH_sum += AH_W
         if not check:
             continue
 
@@ -508,18 +504,17 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
                         else "max_iters" if finite[j, 0] else "nonfinite")
                 solutions[index[j]] = BpdnSolution(
                     Z[j] * s, float(residual[j, 0] * s), float(objective[j, 0] * s), it,
-                    bool(certified[j, 0]), float(gap[j, 0] * s), stop)
+                    float(gap[j, 0] * s), stop)
             if done.all():
                 return solutions
             keep = np.flatnonzero(~done)
             A = A.take(keep)
             fast = getattr(A, "fast", A)
             (index, scale, Y, rho, feas_tol, step, omega, tau, sigma, sigma_y, Z, Zbar, W,
-             Z_start, W_start, Z_sum, W_sum, AH_sum, residual, objective, value,
-             AH_W_max) = _compact(keep, (
-                 index, scale, Y, rho, feas_tol, step, omega, tau, sigma, sigma_y, Z, Zbar, W,
-                 Z_start, W_start, Z_sum, W_sum, AH_sum, residual, objective, value,
-                 AH_W_max))
+             Z_start, W_start, Z_sum, W_sum, residual, objective, value, AH_W_max) = (
+                x[keep] for x in (
+                    index, scale, Y, rho, feas_tol, step, omega, tau, sigma, sigma_y, Z, Zbar,
+                    W, Z_start, W_start, Z_sum, W_sum, residual, objective, value, AH_W_max))
 
         count = it - start_it
         if count < _RESTART_ARTIFICIAL * it:
@@ -527,8 +522,8 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
         Z_avg, W_avg = Z_sum / count, W_sum / count
         avg_residual = _row_norms(A.forward(Z_avg) - Y)
         avg_objective, avg_value = _values(Z_avg, W_avg, Y, rho)
-        # |A^H w_avg|_inf, from the running sum without an average's array
-        kkt_avg = _kkt_errors(avg_residual, _abs_max(AH_sum) / count,
+        # |A^H w_avg|_inf on the stand-in: it only picks the restart point
+        kkt_avg = _kkt_errors(avg_residual, _abs_max(fast.adjoint(W_avg)),
                               avg_objective - avg_value, rho, omega)
         kkt_cur = _kkt_errors(residual, AH_W_max, objective - value, rho, omega)
         to_avg = (kkt_avg < kkt_cur)[:, 0]
@@ -542,19 +537,9 @@ def solve_bpdn_batch(problems: Sequence[BpdnProblem]) -> List[BpdnSolution]:
         Zbar[...] = Z_start[...] = Z
         W_start[...] = W
         start_it = it
-        for total in (Z_sum, W_sum, AH_sum):
+        for total in (Z_sum, W_sum):
             total[...] = 0
     raise AssertionError("unreachable: the check at max_iters stops every trial")
-
-
-def _compact(keep: np.ndarray, arrays) -> list:
-    """The rows ``keep`` (ascending) of each array, moved in place to its
-    first rows: the stack shrinks without a second copy of its state."""
-    out = []
-    for x in arrays:
-        x[:keep.size] = x[keep]
-        out.append(x[:keep.size])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +568,7 @@ def bpdn_orthonormal_oracle(problem: BpdnProblem) -> BpdnSolution:
     y_norm2 = float(np.real(np.vdot(y, y)))
     if np.sqrt(y_norm2) <= rho:
         return BpdnSolution(np.zeros(N, dtype=A.dtype), float(np.sqrt(y_norm2)),
-                            0.0, 0, True, 0.0, "inside")
+                            0.0, 0, 0.0, "inside")
 
     u = (A.conj().T @ y) / c
     r0_sq = max(y_norm2 - c * float(np.real(np.vdot(u, u))), 0.0)
@@ -605,4 +590,4 @@ def bpdn_orthonormal_oracle(problem: BpdnProblem) -> BpdnSolution:
         lam = float(np.sqrt(max(R_sq - prefix[j], 0.0) / (N - j)))
         z = soft_threshold_complex(u, lam)
     residual = float(np.linalg.norm(A @ z - y))
-    return BpdnSolution(z, residual, float(np.abs(z).sum()), 0, True, 0.0, "gap")
+    return BpdnSolution(z, residual, float(np.abs(z).sum()), 0, 0.0, "gap")

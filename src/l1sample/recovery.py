@@ -196,9 +196,6 @@ def build_matrix(config: RecoveryConfig, points) -> np.ndarray:
     for the Legendre regime, and solves the others on ``FourierTables``, in
     its complex form on the torus and its real form for Chebyshev.
     """
-    pts = np.asarray(points)
-    if pts.size == 0:
-        raise ValueError("need at least one sample point")
     return basis_matrix(config.system, search_set(config), points)
 
 

@@ -168,6 +168,8 @@ def _torus_rows(arr: np.ndarray, d: int, what: str) -> np.ndarray:
 
 def _point_array(system: System, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
+    if not pts.size:
+        raise ValueError("need at least one sample point")
     # min and max propagate NaN and need no points-sized temporary
     if not (np.isfinite(pts.min(initial=0.0)) and np.isfinite(pts.max(initial=0.0))):
         raise ValueError("sample points must be finite")
@@ -574,10 +576,7 @@ def _torus_points(points, half_width: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim not in (1, 2) or pts.ndim == 2 and pts.shape[1] < 1:
         raise ValueError("points must be an (m, d) array")
-    pts = _point_array(fourier_system(pts.shape[1] if pts.ndim == 2 else 1), pts)
-    if not pts.shape[0]:
-        raise ValueError("need at least one sample point")
-    return pts
+    return _point_array(fourier_system(pts.shape[1] if pts.ndim == 2 else 1), pts)
 
 
 def _row_kronecker(tables) -> np.ndarray:
@@ -707,8 +706,6 @@ class FourierTables:
             raise ValueError("the matrix needs at least one degree")
         op = cls.__new__(cls)
         op._points = _point_array(chebyshev_system(), points)
-        if not op._points.size:
-            raise ValueError("need at least one sample point")
         theta = np.arccos(op._points)
         B = min(_BLOCK, N)
         op._left, op._right = _exp_rows(np.arange(0, N, B), theta), _exp_rows(np.arange(B), theta)

@@ -181,6 +181,14 @@ def test_real_input_gives_real_iterates():
     assert not np.iscomplexobj(sol.z)
 
 
+def test_a_solution_holds_each_figure_once_and_reads_certified_from_its_stop():
+    names = [field.name for field in dataclasses.fields(BpdnSolution)]
+    assert names == ["z", "residual_norm", "objective", "iterations", "gap", "stop"]
+    for stop, certified in [("inside", True), ("gap", True), ("polished", True),
+                            ("max_iters", False), ("nonfinite", False)]:
+        assert BpdnSolution(np.zeros(3), 0.0, 0.0, 25, 0.0, stop).certified is certified
+
+
 def test_uncertified_when_iteration_budget_is_tiny():
     rng = np.random.default_rng(9)
     prob = random_orthonormal_instance(rng)
@@ -477,11 +485,17 @@ def test_transform_solve_matches_the_dense_solve(m, N, complex_y, max_iters):
                                                              dense.stop)
     # the exact adjoint serves exactly the check iterations and the checks of
     # the polished pairs, one at every check; the transform the other
-    # iterations and the 60-step power method (121 products)
-    checks = sum(1 for it in range(1, fast.iterations + 1) if it % 25 == 0 or it == max_iters)
-    assert len(polishes) == checks
-    assert len(exact_adjoints) == checks + len(polishes)
-    assert transform.calls == 121 + fast.iterations - checks
+    # iterations, the 60-step power method (121 products) and one adjoint at
+    # each restart, the checks before the last where the iterations since the
+    # last restart reach 0.36 of all so far
+    checks = [it for it in range(1, fast.iterations + 1) if it % 25 == 0 or it == max_iters]
+    restarts, last = 0, 0
+    for it in checks[:-1]:
+        if it - last >= 0.36 * it:
+            restarts, last = restarts + 1, it
+    assert len(polishes) == len(checks)
+    assert len(exact_adjoints) == len(checks) + len(polishes)
+    assert transform.calls == 121 + fast.iterations - len(checks) + restarts
     assert fast.stop == ("polished" if fast.certified else "max_iters")
     assert fast.certified == (max_iters == 50_000)
     assert fast.z.dtype == dense.z.dtype
@@ -534,14 +548,19 @@ def test_restarts_follow_the_iteration_schedule_alone(monkeypatch):
     # a solve that runs its whole budget of 200 restarts at the checks at
     # 25, 50, 100 and 175, where the iterations since the last restart reach
     # 0.36 of all so far, and weighs the current point against the average
-    # only there: two KKT errors per restart, none at the other checks
+    # only there: two KKT errors per restart, none at the other checks, and
+    # one adjoint per iteration plus the average's at each restart
     calls, kkt_errors = [], bpdn._kkt_errors
     monkeypatch.setattr(bpdn, "_polish", lambda *args: None)
     monkeypatch.setattr(bpdn, "_kkt_errors",
                         lambda *args: calls.append(1) or kkt_errors(*args))
-    sol = solve_bpdn(_lattice_problem(24, max_iters=200))
+    problem = _lattice_problem(24, max_iters=200)
+    adjoints, adjoint = [], problem.A.adjoint
+    problem.A.adjoint = lambda W: adjoints.append(1) or adjoint(W)
+    sol = solve_bpdn(problem)
     assert (sol.stop, sol.iterations) == ("max_iters", 200)
     assert len(calls) == 2 * 4
+    assert len(adjoints) == 200 + 4
 
 
 # ---------------------------------------------------------------------------
