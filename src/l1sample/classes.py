@@ -25,6 +25,7 @@ from .systems import (
     _fourier_synthesis,
     _index_array,
     _point_array,
+    _synthesis_plan,
     _torus_rows,
     basis_matrix,
     chebyshev_system,
@@ -39,11 +40,11 @@ POLY_WIENER = "poly_wiener"
 
 _CLASS_KINDS = (WIENER_MIXED, WIENER_ISO, SOBOLEV_MIXED, POLY_WIENER)
 
-# Points per block in evaluate_function.  A Fourier block's power tables and
-# term factors are cache-bound: a torus2d-fit predict (10 terms, |k_a| <= 30,
-# d = 2, 10^6 points; median of 30 on two cores) took 0.37 / 0.34 / 0.31 /
-# 0.32 / 0.36 / 0.44 / 0.65 s in blocks of 1k / 2k / 4k / 8k / 16k / 32k /
-# 64k points, against 0.99 s for the direct exponentials in blocks of 64k.
+# Points per block in evaluate_function.  A Fourier block's power tables,
+# rows and terms are cache-bound: a torus2d-fit predict (10 terms, |k_a| <=
+# 30, d = 2, 10^6 points; median of 30 on two cores) took 0.18 / 0.15 / 0.145
+# / 0.149 / 0.16 / 0.17 / 0.30 s in blocks of 1k / 2k / 4k / 8k / 16k / 32k /
+# 64k points, against 0.57 s for the direct exponentials in blocks of 64k.
 # Polynomial values do not depend on the block size.
 _EVAL_CHUNK = 4_096
 
@@ -241,8 +242,9 @@ def evaluate_function(f: CoefficientExpansion, points):
     """Pointwise values sum_k c_k b_k(t).  Scalar in, scalar out.
 
     Values are computed a block of points at a time: Fourier values from
-    per-axis power tables (``systems._fourier_synthesis``), polynomial
-    values as ``basis_matrix(...) @ c``.
+    per-axis power tables (``systems._fourier_synthesis``, whose index work
+    ``systems._synthesis_plan`` does once per call), polynomial values as
+    ``basis_matrix(...) @ c``.
     """
     pts = np.asarray(points, dtype=float)
     scalar = pts.ndim == 0 or (
@@ -253,11 +255,13 @@ def evaluate_function(f: CoefficientExpansion, points):
     pts = np.atleast_1d(pts)
     vals = np.zeros(pts.shape[0], dtype=np.complex128)
     support, values = f.support_array(), f.values_array()
+    if f.system.kind == FOURIER:
+        plan = _synthesis_plan(support)
     for start in range(0, pts.shape[0], _EVAL_CHUNK):
         stop = start + _EVAL_CHUNK
         if f.system.kind == FOURIER:
             block = _point_array(f.system, pts[start:stop])
-            vals[start:stop] = _fourier_synthesis(support, values, block)
+            vals[start:stop] = _fourier_synthesis(plan, values, block)
         else:
             vals[start:stop] = basis_matrix(f.system, support, pts[start:stop]) @ values
     return complex(vals[0]) if scalar else vals

@@ -25,7 +25,9 @@ from l1sample import (
     wiener_iso,
     wiener_mixed,
 )
+from l1sample import classes
 from l1sample.classes import _EVAL_CHUNK, _weights
+from l1sample.systems import _CIS_TABLE, _cis
 
 from util import chebyshev_value, quadrature_l2_norm
 
@@ -380,6 +382,37 @@ def test_synthesis_over_one_and_several_blocks(count):
     _assert_matches_dense(f, np.random.default_rng(count).random((count, 2)))
 
 
+@pytest.mark.parametrize("indices, rows", [
+    # |k_a| = 5 with both signs on both axes: two distinct rows on axis 0 (0
+    # and 5) and one on axis 1, plus one conjugate row each
+    ([(5, -5), (-5, 5), (5, 5), (-5, -5), (0, 5)], [(2, 1), (1, 1)]),
+    ([(3, -3, 0), (-3, 3, 7), (3, 3, -7), (-3, -3, -7), (0, 0, 0), (3, -40, 7)],
+     [(2, 1), (3, 2), (2, 1)]),
+])
+def test_synthesis_shares_the_rows_of_equal_magnitudes(indices, rows):
+    f = _random_expansion(indices, 12)
+    plan = classes._synthesis_plan(f.support_array())
+    assert [(digits[0].size, conj.size) for _, _, digits, conj, _ in plan] == rows
+    d = len(indices[0])
+    _assert_matches_dense(f, np.random.default_rng(13).random((2 * _EVAL_CHUNK + 9, d)))
+
+
+def test_synthesis_does_the_index_work_once_per_call(monkeypatch):
+    calls = {"plan": 0, "block": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(classes, "_synthesis_plan", counted("plan", classes._synthesis_plan))
+    monkeypatch.setattr(classes, "_fourier_synthesis", counted("block", classes._fourier_synthesis))
+    f = _random_expansion([(-6, 1), (2, 30), (-2, -30)], 14)
+    _assert_matches_dense(f, np.random.default_rng(14).random((2 * _EVAL_CHUNK + 1, 2)))
+    assert calls == {"plan": 1, "block": 3}
+
+
 @given(
     st.integers(1, 3).flatmap(lambda d: st.tuples(
         st.sets(st.tuples(*[st.integers(-300, 300)] * d), min_size=1, max_size=6),
@@ -419,6 +452,36 @@ def test_synthesis_is_no_less_accurate_than_the_direct_exponential(d, largest):
     direct = np.abs(basis_matrix(f.system, idx, pts) @ values - reference).astype(float)
     assert tables.max() <= _synthesis_bound(f)
     assert np.sqrt(np.mean(tables**2)) <= np.sqrt(np.mean(direct**2))
+
+
+def _long_double_cis(x) -> np.ndarray:
+    phase = 8 * np.arctan(np.longdouble(1)) * np.asarray(x, dtype=np.longdouble)
+    return np.cos(phase) + 1j * np.sin(phase)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended long double")
+def test_cis_table_entries_are_within_one_ulp():
+    quarter = _CIS_TABLE.size // 4
+    j = np.arange(_CIS_TABLE.size)
+    # a quarter turn is exact, so the reference takes angles below pi/2 only
+    reference = _long_double_cis((j % quarter) / _CIS_TABLE.size)
+    reference *= np.array([1, 1j, -1, -1j], dtype=np.clongdouble)[j // quarter]
+    for got, exact in [(_CIS_TABLE.real, reference.real), (_CIS_TABLE.imag, reference.imag)]:
+        assert np.all(np.abs(got - exact) <= np.spacing(np.abs(exact.astype(float))))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended long double")
+def test_cis_is_within_four_eps_of_long_double():
+    edges = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]
+    # the remainder's largest modulus, and round-half-even at every entry
+    halves = (np.arange(_CIS_TABLE.size) + 0.5) / _CIS_TABLE.size
+    x = np.concatenate([edges, halves, np.random.default_rng(15).random(10**5)])
+    error = np.abs(_cis(x) - _long_double_cis(x)).astype(float)
+    assert error.max() <= 4 * 2.0**-53
+
+
+def test_cis_of_zero_is_one():
+    assert _cis(np.zeros(3)).tolist() == [1, 1, 1]
 
 
 @pytest.mark.parametrize("system", [
